@@ -152,6 +152,9 @@ def denote_cmd(source, intervals, cdf):
     else:
         queries = _parse_intervals(intervals, cdf)
         masses = denotational_masses(term, queries, quad=quad, fix=fix)
+        for m in masses:
+            if isinstance(m, Exception):
+                raise m
     report = [
         {"interval": format_interval_set(u), "mass": m}
         for u, m in zip(queries, masses)

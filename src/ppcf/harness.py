@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .denotation import EMPTY_ENV, FixConfig, NonConvergent, interpret
 from .intervals import IntervalSet, format_interval_set
@@ -111,13 +111,32 @@ class AdequacyReport:
         return out.getvalue()
 
 
+_DENOTATION_ERRORS = (NonConvergent, QuadratureFailure, DimensionLimit)
+
+
 def denotational_masses(term: Term, intervals, *, quad: QuadratureConfig,
-                        fix: FixConfig, table: PrimitiveTable = DEFAULT_TABLE):
-    """Masses of the program denotation, with fix probes set to the queries."""
-    probes = tuple(intervals) + tuple(fix.probe_sets)
-    value = interpret(term, EMPTY_ENV, quad=quad, fix=replace(fix, probe_sets=probes),
-                      table=table)
-    return [value.measure.mass(u) for u in intervals]
+                        fix: FixConfig, table: PrimitiveTable = DEFAULT_TABLE
+                        ) -> list[float | Exception]:
+    """Masses of the program denotation on each interval set.
+
+    The program is interpreted once for all the sets.  Its Kleene chains
+    stop when their total mass moves by less than ``fix.mass_tol``; the
+    iterates increase, so no set's mass moves by more than the total
+    does, and that one test bounds every query.  A denotation error is
+    returned in place of a mass: one raised while interpreting for every
+    set, one raised by a set's mass query for that set only.
+    """
+    try:
+        measure = interpret(term, EMPTY_ENV, quad=quad, fix=fix, table=table).measure
+    except _DENOTATION_ERRORS as exc:
+        return [exc] * len(intervals)
+    masses: list[float | Exception] = []
+    for u in intervals:
+        try:
+            masses.append(measure.mass(u))
+        except _DENOTATION_ERRORS as exc:
+            masses.append(exc)
+    return masses
 
 
 def adequacy_check(program: SourceProgram, cfg: AdequacyConfig,
@@ -144,17 +163,16 @@ def adequacy_check(program: SourceProgram, cfg: AdequacyConfig,
     dkw = dkw_bound(cfg.runs, per_query_confidence)
     quad_tol = cfg.quadrature.abs_tol + cfg.fix.mass_tol
 
+    dens = denotational_masses(term, cfg.intervals, quad=cfg.quadrature, fix=cfg.fix,
+                               table=den_table)
     queries = []
     overall = True
-    for u in cfg.intervals:
+    for u, den in zip(cfg.intervals, dens):
         empirical = sum(1 for v in values if u.contains(v)) / cfg.runs
-        try:
-            den = denotational_masses(term, [u], quad=cfg.quadrature, fix=cfg.fix,
-                                      table=den_table)[0]
-        except (NonConvergent, QuadratureFailure, DimensionLimit) as exc:
+        if isinstance(den, Exception):
             queries.append(
                 QueryResult(u, None, empirical, dkw, quad_tol, False,
-                            error=f"{type(exc).__name__}: {exc}")
+                            error=f"{type(den).__name__}: {den}")
             )
             overall = False
             continue

@@ -267,7 +267,8 @@ def _parse_endpoint(text: str) -> float:
 
 def parse_interval_set(text: str) -> IntervalSet:
     """Parse ``"[a,b) + {c} + (d,inf)"`` (``∪`` also accepted as separator)."""
-    parts = re.split(r"[+∪]", text)
+    # a separator follows a closing bracket, so "1e+20" and "+inf" stay whole
+    parts = re.split(r"(?<=[\]\)}])\s*[+∪]", text)
     pieces = []
     for part in parts:
         if not part.strip():
@@ -313,4 +314,3 @@ def format_interval_set(s: IntervalSet) -> str:
 
 FULL_LINE = IntervalSet.full_line()
 EMPTY = IntervalSet.empty()
-UNIT = IntervalSet.closed(0.0, 1.0)

@@ -241,17 +241,11 @@ class PrimitiveTable:
         except (UnknownPrimitive, ValueError):
             return False
 
-    def arity(self, name: str) -> int:
-        return self.lookup(name).arity
-
     def with_override(self, name: str, prim: Primitive) -> "PrimitiveTable":
         """Copy of the table with one entry replaced (fault injection)."""
         entries = dict(self._entries)
         entries[name] = prim
         return PrimitiveTable(entries)
-
-    def names(self):
-        return tuple(self._entries)
 
 
 DEFAULT_TABLE = PrimitiveTable()

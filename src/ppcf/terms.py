@@ -141,12 +141,6 @@ class MacroCall(Term):
 _fresh_counter = itertools.count()
 
 
-def reset_fresh_counter() -> None:
-    """Restart fresh-name numbering (test determinism only)."""
-    global _fresh_counter
-    _fresh_counter = itertools.count()
-
-
 def fresh_name(base: str) -> str:
     root = base.split("#", 1)[0]
     return f"{root}#{next(_fresh_counter)}"
@@ -180,10 +174,6 @@ def free_vars(t: Term) -> frozenset[str]:
                     out |= free_vars(a)
             return out
     raise TypeError(f"not a term: {t!r}")
-
-
-def is_closed(t: Term) -> bool:
-    return not free_vars(t)
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppcf.denotation import (
     EMPTY_ENV,
@@ -31,6 +33,7 @@ from ppcf.terms import (
     Var,
     substitute,
 )
+from ppcf.typecheck import typecheck
 
 PROBES = (
     IntervalSet.point(0.0),
@@ -56,6 +59,12 @@ def test_numeral_is_dirac():
 
 def test_sample_is_uniform():
     assert _mass("sample", IntervalSet.closed(0.0, 0.25)) == 0.25
+
+
+def test_chi_with_exponent_endpoint():
+    t = parse_term("chi[[0,1e20]](sample)")
+    assert typecheck({}, t) == REAL
+    assert interpret(t).measure.mass(IntervalSet.point(1.0)) == 1.0
 
 
 def test_let_diagonal_dirac_one():
@@ -129,7 +138,7 @@ def test_let_bind_gaussian_matches_analytic():
 
 def test_fixpoint_identity_is_zero_measure():
     ident = SemFunction(lambda v: v, REAL, REAL)
-    out = fixpoint(ident, FixConfig(probe_sets=PROBES))
+    out = fixpoint(ident, FixConfig())
     assert out.measure.total_mass() == 0.0
 
 
@@ -151,17 +160,28 @@ def test_fixpoint_geometric_iterates():
         assert abs(iterate.measure.mass(u) - want) < 1e-12
 
 
-def test_fixpoint_monotone_probe_masses():
-    fun = interpret(
-        parse_term("fun y : real -> let x = sample in ifz chi[[0,0.5]](x) then y else x")
-    )
+@settings(max_examples=20, deadline=None)
+@given(
+    prior=st.sampled_from(["sample", "#exponential"]),
+    lo=st.floats(0.0, 1.5),
+    width=st.floats(0.05, 0.9),
+)
+@example(prior="sample", lo=0.0, width=0.5)
+def test_fixpoint_monotone_probe_masses(prior, lo, width):
+    # the #observe([lo,lo+width]) functional; stopping a Kleene chain on the
+    # total mass bounds every query's step because no probe outgrows the total
+    fun = interpret(parse_term(
+        f"fun y : real -> let x = {prior} in ifz chi[[{lo!r},{lo + width!r}]](x) then y else x"
+    ))
     last = {u.key(): 0.0 for u in PROBES}
     iterate = zero_value(REAL)
     for _ in range(10):
         iterate = fun.apply(iterate)
+        total_step = iterate.measure.total_mass() - last[FULL_LINE.key()]
         for u in PROBES:
             mass = iterate.measure.mass(u)
             assert mass >= last[u.key()] - 1e-9
+            assert mass - last[u.key()] <= total_step + 1e-9
             last[u.key()] = mass
 
 
@@ -170,7 +190,7 @@ def test_fixpoint_nonconvergent_reports():
         parse_term("fun y : real -> let x = sample in ifz chi[[0,0.001]](x) then y else x")
     )
     with pytest.raises(NonConvergent) as err:
-        fixpoint(fun, FixConfig(mass_tol=1e-6, max_iters=40, probe_sets=PROBES))
+        fixpoint(fun, FixConfig(mass_tol=1e-6, max_iters=40))
     assert err.value.iters == 40
     assert err.value.last_masses
 

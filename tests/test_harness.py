@@ -3,11 +3,12 @@ import math
 
 import pytest
 
+import ppcf.harness
 from ppcf.harness import AdequacyConfig, adequacy_check, cdf_grid, denotational_masses
 from ppcf.intervals import FULL_LINE, IntervalSet, parse_interval_set
 from ppcf.parser import parse
 from ppcf.primitives import DEFAULT_TABLE, Primitive
-from ppcf.quadrature import QuadratureConfig
+from ppcf.quadrature import QuadratureConfig, QuadratureFailure
 from ppcf.denotation import FixConfig
 
 
@@ -134,3 +135,41 @@ def test_denotational_masses_uses_query_probes():
         fix=FixConfig(),
     )
     assert abs(got[0] - 0.5) < 1e-6
+
+
+def test_check_interprets_once_for_all_queries(monkeypatch):
+    calls = []
+    real_interpret = ppcf.harness.interpret
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real_interpret(*args, **kwargs)
+
+    monkeypatch.setattr(ppcf.harness, "interpret", counting)
+    prog = parse("#observe([0,0.5]) sample")
+    queries = [IntervalSet.closed(0.0, 0.125), IntervalSet.closed(0.0, 0.25), FULL_LINE]
+    rep = adequacy_check(prog, _cfg(queries, runs=200, seed=4))
+    assert len(calls) == 1
+    assert [q.error for q in rep.queries] == [None, None, None]
+
+
+def test_mass_error_marks_only_its_query():
+    failing = IntervalSet.closed(0.0, 0.25)
+    add = DEFAULT_TABLE.lookup("add")
+
+    def preimage(i, fixed, target):
+        if target == failing:
+            raise QuadratureFailure("injected")
+        return add.preimage(i, fixed, target)
+
+    table = DEFAULT_TABLE.with_override(
+        "add", Primitive("add", 2, add.fn, preimage, symbol="+")
+    )
+    prog = parse("sample + 0")
+    kept = IntervalSet.closed(0.0, 0.5)
+    both = adequacy_check(prog, _cfg([failing, kept], runs=200, seed=6), den_table=table)
+    alone = adequacy_check(prog, _cfg([kept], runs=200, seed=6), den_table=table)
+    assert both.queries[0].denotational is None
+    assert both.queries[0].error == "QuadratureFailure: injected"
+    assert both.queries[1].error is None
+    assert both.queries[1].denotational == alone.queries[0].denotational

@@ -78,7 +78,8 @@ def test_shift_scale_negate():
 
 
 def test_parse_format_roundtrip():
-    for text in ("[0,0.5)", "{1}", "(-inf,0] + {1} + [2,3)", "(0,inf)"):
+    for text in ("[0,0.5)", "{1}", "(-inf,0] + {1} + [2,3)", "(0,inf)", "[0,1e+20]",
+                 "(0,+inf)"):
         s = parse_interval_set(text)
         assert parse_interval_set(format_interval_set(s)) == s
 
