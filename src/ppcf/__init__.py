@@ -14,6 +14,7 @@ from .denotation import (
     NonConvergent,
     SemFunction,
     SemMeasure,
+    compile_deterministic,
     fixpoint,
     interpret,
     let_bind,

@@ -5,19 +5,20 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
-from .denotation import EMPTY_ENV, FixConfig, interpret
+from .denotation import EMPTY_ENV, FixConfig, compile_deterministic, interpret
 from .harness import AdequacyConfig, adequacy_check, cdf_grid, denotational_masses
 from .intervals import FULL_LINE, IntervalSet, format_interval_set, parse_interval_set
 from .measure import ConcreteMeasure
-from .parser import ParseError, SourceProgram, format_type, parse, pretty
+from .parser import ParseError, SourceProgram, format_type, parse, parse_term, pretty
 from .quadrature import QuadratureConfig
 from .reduction import Exhausted, StuckNormal, Value, collect_outcomes
 from .stability import GALLERY, PointFn, check_pre_stable
-from .terms import REAL, Numeral, substitute
+from .terms import REAL
 from .typecheck import TypeCheckError, typecheck
 
 
@@ -31,6 +32,15 @@ def _load_program(source: str) -> SourceProgram:
     return parse(source)
 
 
+@contextmanager
+def _input_errors():
+    """Report malformed source as a usage error: exit 2, not a verdict's 1."""
+    try:
+        yield
+    except (ParseError, TypeCheckError) as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 def _resolve_seed(seed: int) -> int:
     env = os.environ.get("PPCF_SEED")
     return int(env) if env else seed
@@ -41,7 +51,10 @@ def _parse_intervals(intervals: str | None, cdf: str | None,
     if intervals and cdf:
         raise click.UsageError("choose one of --intervals and --cdf")
     if intervals:
-        return tuple(parse_interval_set(part) for part in intervals.split(";"))
+        try:
+            return tuple(parse_interval_set(part) for part in intervals.split(";"))
+        except ValueError as exc:
+            raise click.UsageError(f"bad --intervals spec {intervals!r}: {exc}") from None
     if cdf:
         try:
             lo, hi, steps = cdf.split(":")
@@ -92,9 +105,9 @@ def typecheck_cmd(source):
 @click.option("--seed", default=0, show_default=True)
 def run_cmd(source, runs, budget, seed):
     """Run the operational semantics; print outcomes or a summary."""
-    prog = _load_program(source)
-    term = prog.inlined_main()
-    typecheck({}, term)
+    with _input_errors():
+        term = _load_program(source).inlined_main()
+        typecheck({}, term)
     outcomes = collect_outcomes(term, runs, budget, _resolve_seed(seed))
     if runs == 1:
         o = outcomes[0]
@@ -140,9 +153,9 @@ def _default_denote_intervals(measure) -> tuple[IntervalSet, ...]:
 @click.option("--cdf", default=None, help="lo:hi:steps grid of (-inf, x] queries")
 def denote_cmd(source, intervals, cdf):
     """Print denotational masses on the requested interval sets."""
-    prog = _load_program(source)
-    term = prog.inlined_main()
-    typecheck({}, term)
+    with _input_errors():
+        term = _load_program(source).inlined_main()
+        typecheck({}, term)
     quad = QuadratureConfig()
     fix = FixConfig()
     if intervals is None and cdf is None:
@@ -174,17 +187,16 @@ def denote_cmd(source, intervals, cdf):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def check_cmd(source, intervals, cdf, runs, budget, seed, delta, bonferroni, fmt):
     """Adequacy check: operational vs denotational masses."""
-    prog = _load_program(source)
-    queries = _parse_intervals(intervals, cdf)
     cfg = AdequacyConfig(
-        intervals=queries,
+        intervals=_parse_intervals(intervals, cdf),
         runs=runs,
         budget=budget,
         confidence=delta,
         seed=_resolve_seed(seed),
         bonferroni=bonferroni,
     )
-    report = adequacy_check(prog, cfg)
+    with _input_errors():  # adequacy_check typechecks before it runs anything
+        report = adequacy_check(_load_program(source), cfg)
     click.echo(report.to_json() if fmt == "json" else report.to_csv(), nl=False)
     sys.exit(0 if report.overall_pass else 1)
 
@@ -192,11 +204,12 @@ def check_cmd(source, intervals, cdf, runs, budget, seed, delta, bonferroni, fmt
 @main.command("stability")
 @click.argument("target", required=False)
 @click.option("--fn", "fn_expr", default=None,
-              help="expression in x1..xk to check instead of a named function")
-@click.option("--n", default=1, show_default=True, help="pre-stability order")
-@click.option("--grid", default=8, show_default=True)
+              help="first-order deterministic expression in x1..xk to check")
+@click.option("--n", type=click.IntRange(min=0), default=1, show_default=True,
+              help="pre-stability order")
+@click.option("--grid", type=click.IntRange(min=2), default=8, show_default=True)
 @click.option("--slack", default=1e-9, show_default=True)
-@click.option("--fn-arity", default=1, show_default=True,
+@click.option("--fn-arity", type=click.IntRange(min=1), default=1, show_default=True,
               help="arity k of an expression target")
 def stability_cmd(target, fn_expr, n, grid, slack, fn_arity):
     """Check pre-stability of wpor, poly, identity, or an expression."""
@@ -214,26 +227,18 @@ def stability_cmd(target, fn_expr, n, grid, slack, fn_arity):
 
 
 def _point_fn_from_expr(text: str, k: int) -> PointFn:
-    """A PointFn from a deterministic PPCF expression in x1..xk."""
-    from .parser import parse_term
-    from .reduction import run
-    from .rng import RngStream
-
-    term = parse_term(text)
-    ctx = {f"x{i + 1}": REAL for i in range(k)}
-    if typecheck(ctx, term) != REAL:
+    """A PointFn from a first-order deterministic PPCF expression in x1..xk."""
+    inputs = tuple(f"x{i + 1}" for i in range(k))
+    with _input_errors():
+        term = parse_term(text)
+        ty = typecheck(dict.fromkeys(inputs, REAL), term)
+    if ty != REAL:
         raise click.UsageError("stability expression must have type real")
-
-    def evaluate(*coords: float) -> float:
-        t = term
-        for i, c in enumerate(coords):
-            t = substitute(t, f"x{i + 1}", Numeral(c))
-        outcome = run(t, 10_000, RngStream(0))
-        if not isinstance(outcome, Value):
-            raise click.UsageError("stability expression failed to evaluate")
-        return outcome.value
-
-    return PointFn(k, evaluate, text)
+    fn = compile_deterministic(term, inputs)
+    if fn is None:
+        raise click.UsageError("stability expression must be deterministic and first-order:"
+                               " no sample, fun, application or fix")
+    return PointFn(k, fn, text)
 
 
 if __name__ == "__main__":

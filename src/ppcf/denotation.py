@@ -28,7 +28,7 @@ from .measure import (
     mix,
     pushforward,
 )
-from .primitives import DEFAULT_TABLE, PrimitiveTable
+from .primitives import DEFAULT_TABLE, Primitive, PrimitiveTable
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .terms import (
     REAL,
@@ -172,15 +172,13 @@ def interpret(
             return SemMeasure(mix(coeffs, branches, cfg=quad))
         case Let(name, bound, body):
             bound_measure = _ground(interpret(bound, env, quad=quad, fix=fix, table=table))
-            compiled = _compile_deterministic(body, {name: 0, "#depth": 1}, env, table)
+            f = compile_deterministic(body, (name,), env, table)
+            if f is not None:
+                return SemMeasure(pushforward(Primitive("let", 1, f), [bound_measure], cfg=quad))
 
-            if compiled is not None:
-                def body_at(r: float) -> Measure:
-                    return dirac(compiled((r,)), cfg=quad)
-            else:
-                def body_at(r: float, _name=name, _body=body, _env=env) -> Measure:
-                    inner = _env.extend(_name, SemMeasure(dirac(r, cfg=quad)))
-                    return _ground(interpret(_body, inner, quad=quad, fix=fix, table=table))
+            def body_at(r: float) -> Measure:
+                inner = env.extend(name, SemMeasure(dirac(r, cfg=quad)))
+                return _ground(interpret(body, inner, quad=quad, fix=fix, table=table))
 
             return SemMeasure(let_bind(bound_measure, body_at, cfg=quad))
         case Fix(body):
@@ -207,36 +205,38 @@ def _unit_atom(m: Measure) -> float | None:
     return None
 
 
-def _compile_deterministic(t: Term, scope: dict[str, int], env: Env,
-                           table: PrimitiveTable):
-    """Compile a deterministic ground tree to a closure on positional floats.
+def compile_deterministic(t: Term, inputs: tuple[str, ...], env: Env = EMPTY_ENV,
+                          table: PrimitiveTable = DEFAULT_TABLE):
+    """Compile a deterministic first-order ground term to a float function.
 
-    Quadrature evaluates `let` bodies at huge numbers of sample points;
-    bodies that are plain primitive/ifz/let trees over Dirac-valued
-    variables compile once into nested closures, so each point costs a
-    float evaluation instead of a measure construction.  Returns None
-    when any probabilistic or higher-order construct shows up, and the
-    caller falls back to the full interpreter.
+    The function takes one float per name in `inputs` and makes the same
+    primitive calls on the same floats as reducing the term with those
+    numerals substituted, so the two agree bit for bit.  Other free
+    variables must be unit Diracs in `env`.  Returns None on ``sample``,
+    ``fun``, application or ``fix``.  A ``let`` body pushes its bound
+    measure forward along it, and ``ppcf stability --fn`` checks it.
     """
+    g = _compile(t, inputs, env, table)
+    return None if g is None else lambda *xs: g(xs)
+
+
+def _compile(t: Term, names: tuple[str, ...], env: Env, table: PrimitiveTable):
+    """A closure on the tuple of values of `names`, or None."""
     match t:
         case Numeral(value):
             return lambda _a: value
         case Var(name):
-            if name in scope:
-                index = scope[name]
+            if name in names:
+                index = len(names) - 1 - names[::-1].index(name)
                 return lambda a: a[index]
             try:
                 v = env.lookup(name)
             except KeyError:
                 return None
-            if not isinstance(v, SemMeasure):
-                return None
-            location = _unit_atom(v.measure)
-            if location is None:
-                return None
-            return lambda _a: location
+            location = _unit_atom(v.measure) if isinstance(v, SemMeasure) else None
+            return None if location is None else lambda _a: location
         case Prim(op, args):
-            compiled = [_compile_deterministic(a, scope, env, table) for a in args]
+            compiled = [_compile(a, names, env, table) for a in args]
             if any(c is None for c in compiled):
                 return None
             fn = table.lookup(op).fn
@@ -248,20 +248,16 @@ def _compile_deterministic(t: Term, scope: dict[str, int], env: Env,
                 return lambda a: fn(g0(a), g1(a))
             return lambda a: fn(*[g(a) for g in compiled])
         case Ifz(scrutinee, then, otherwise):
-            gs = _compile_deterministic(scrutinee, scope, env, table)
-            gt = _compile_deterministic(then, scope, env, table)
-            ge = _compile_deterministic(otherwise, scope, env, table)
+            gs = _compile(scrutinee, names, env, table)
+            gt = _compile(then, names, env, table)
+            ge = _compile(otherwise, names, env, table)
             if gs is None or gt is None or ge is None:
                 return None
             return lambda a: gt(a) if gs(a) == 0.0 else ge(a)
         case Let(name, bound, body):
-            gb = _compile_deterministic(bound, scope, env, table)
-            if gb is None:
-                return None
-            depth = scope["#depth"]
-            inner_scope = {**scope, name: depth, "#depth": depth + 1}
-            gbody = _compile_deterministic(body, inner_scope, env, table)
-            if gbody is None:
+            gb = _compile(bound, names, env, table)
+            gbody = _compile(body, names + (name,), env, table)
+            if gb is None or gbody is None:
                 return None
             return lambda a: gbody(a + (gb(a),))
     return None

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 from .denotation import EMPTY_ENV, FixConfig, NonConvergent, interpret
@@ -202,7 +203,5 @@ def cdf_grid(lo: float, hi: float, steps: int) -> tuple[IntervalSet, ...]:
     """CDF-style queries (-inf, x] for x on an inclusive grid."""
     if steps < 1:
         raise ValueError("cdf grid needs at least one step")
-    import math
-
     xs = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
     return tuple(IntervalSet.interval(-math.inf, x, False, True) for x in xs)

@@ -267,6 +267,8 @@ def _parse_endpoint(text: str) -> float:
 
 def parse_interval_set(text: str) -> IntervalSet:
     """Parse ``"[a,b) + {c} + (d,inf)"`` (``∪`` also accepted as separator)."""
+    if text.strip() == "{}":  # the empty set, as format_interval_set writes it
+        return EMPTY
     # a separator follows a closing bracket, so "1e+20" and "+inf" stay whole
     parts = re.split(r"(?<=[\]\)}])\s*[+∪]", text)
     pieces = []

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .intervals import Interval, IntervalSet, _piece
-from .primitives import DEFAULT_TABLE, PrimitiveTable
+from .primitives import CHI_PREFIX, DEFAULT_TABLE, PrimitiveTable, chi_name
 from .sugar import MACRO_SIGNATURES, expand_sugar
 from .terms import (
     REAL,
@@ -40,6 +40,7 @@ from .terms import (
     Fix,
     Ifz,
     Let,
+    MacroCall,
     Numeral,
     Prim,
     Term,
@@ -334,8 +335,6 @@ class _Parser:
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            from .primitives import chi_name
-
             return Prim(chi_name(u), (arg,))
         if tok.kind == "symbol" and tok.text == "#":
             self.advance()
@@ -389,8 +388,6 @@ class _Parser:
                     self.advance()
                     args.append(int(num.text))
             self.expect(")")
-        from .terms import MacroCall
-
         return MacroCall(name, tuple(args))
 
     # -- interval-set literals --------------------------------------------
@@ -524,8 +521,6 @@ _INFIX_LEVEL = {"eq": _CMP, "lt": _CMP, "le": _CMP, "add": _ADD, "sub": _ADD,
 
 
 def _pp_prim(op: str, args, prec: int, table: PrimitiveTable) -> str:
-    from .primitives import CHI_PREFIX
-
     if op.startswith(CHI_PREFIX):
         inner = op[len(CHI_PREFIX):-1]
         return f"chi[{inner}]({_pp(args[0], _LOW, table)})"

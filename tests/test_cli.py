@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from ppcf.cli import main
@@ -112,3 +113,32 @@ def test_stdin_input():
     res = CliRunner().invoke(main, ["run", "-"], input="1 + 1\n")
     assert res.exit_code == 0
     assert res.output.strip() == "2.0"
+
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "1 +", "--intervals", "{0}"],
+    ["check", "y", "--intervals", "{0}"],
+    ["check", "sample", "--intervals", "[0,"],
+    ["run", "1 +"],
+    ["denote", "1 +"],
+    ["stability", "--fn", "x1 + x2"],
+    ["stability", "wpor", "--grid", "1"],
+    ["stability", "wpor", "--n", "-1"],
+    ["stability", "--fn", "x1", "--fn-arity", "0"],
+])
+def test_malformed_input_is_a_usage_error(args):
+    res = _run(*args)
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("expr", [
+    "x1 + sample",
+    "(fun y : real -> y) x1",
+    "(fix (fun y : real -> y)) + x1",
+])
+def test_stability_rejects_nondeterministic_expressions(expr):
+    res = _run("stability", "--fn", expr)
+    assert res.exit_code == 2, res.output
+    assert "deterministic" in res.output

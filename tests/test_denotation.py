@@ -16,8 +16,9 @@ from ppcf.denotation import (
     let_bind,
     zero_value,
 )
+from ppcf.harness import cdf_grid
 from ppcf.intervals import FULL_LINE, IntervalSet, parse_interval_set
-from ppcf.measure import dirac, lebesgue_unit, pushforward
+from ppcf.measure import IntegralMeasure, PushforwardMeasure, dirac, lebesgue_unit, pushforward
 from ppcf.parser import parse_term
 from ppcf.primitives import DEFAULT_TABLE
 from ppcf.quadrature import integrate_adaptive
@@ -119,6 +120,22 @@ def test_let_bind_constant_body():
     m = let_bind(lebesgue_unit(), lambda r: dirac(7.0))
     assert m.mass(IntervalSet.point(7.0)) == 1.0
     assert m.total_mass() == 1.0
+
+
+@pytest.mark.parametrize("bound", ["sample", "#exponential"])
+def test_deterministic_let_body_is_a_pushforward(bound):
+    m = interpret(parse_term(f"let x = {bound} in x * x")).measure
+    assert isinstance(m, PushforwardMeasure)
+    mul = DEFAULT_TABLE.lookup("mul").fn
+    reference = let_bind(interpret(parse_term(bound)).measure, lambda r: dirac(mul(r, r)))
+    assert isinstance(reference, IntegralMeasure)
+    for u in cdf_grid(-0.5, 4.0, 20):
+        assert m.mass(u) == reference.mass(u)
+
+
+def test_sampling_let_body_stays_an_integral():
+    m = interpret(parse_term("let x = sample in x + sample")).measure
+    assert isinstance(m, IntegralMeasure)
 
 
 def test_let_bind_gaussian_matches_analytic():

@@ -10,6 +10,7 @@ from ppcf.intervals import (
     format_interval_set,
     parse_interval_set,
 )
+from ppcf.primitives import DEFAULT_TABLE, chi_name
 
 
 def test_normalization_merges_adjacent_compatible():
@@ -79,7 +80,7 @@ def test_shift_scale_negate():
 
 def test_parse_format_roundtrip():
     for text in ("[0,0.5)", "{1}", "(-inf,0] + {1} + [2,3)", "(0,inf)", "[0,1e+20]",
-                 "(0,+inf)"):
+                 "(0,+inf)", "{}"):
         s = parse_interval_set(text)
         assert parse_interval_set(format_interval_set(s)) == s
 
@@ -89,9 +90,17 @@ def test_parse_union_sign():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "[0,1", "[b,2]", "[2,1]", "{}"):
+    for bad in ("", "[0,1", "[b,2]", "[2,1]"):
         with pytest.raises(ValueError):
             parse_interval_set(bad)
+
+
+def test_chi_of_empty_set_looks_up():
+    chi = DEFAULT_TABLE.lookup(chi_name(EMPTY))
+    assert chi_name(EMPTY) == "chi[{}]"
+    for x in (-1e300, -1.0, 0.0, 0.5, 1.0, 1e300):
+        assert chi.fn(x) == 0.0
+    assert chi.preimage(0, [None], IntervalSet.point(0.0)) == FULL_LINE
 
 
 def test_infinite_endpoints_are_open():
