@@ -187,14 +187,12 @@ def denote_cmd(source, intervals, cdf):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def check_cmd(source, intervals, cdf, runs, budget, seed, delta, bonferroni, fmt):
     """Adequacy check: operational vs denotational masses."""
-    cfg = AdequacyConfig(
-        intervals=_parse_intervals(intervals, cdf),
-        runs=runs,
-        budget=budget,
-        confidence=delta,
-        seed=_resolve_seed(seed),
-        bonferroni=bonferroni,
-    )
+    queries = _parse_intervals(intervals, cdf)
+    try:
+        cfg = AdequacyConfig(intervals=queries, runs=runs, budget=budget, confidence=delta,
+                             seed=_resolve_seed(seed), bonferroni=bonferroni)
+    except ValueError as exc:  # --runs below the floor or --delta outside (0, 1)
+        raise click.UsageError(str(exc)) from None
     with _input_errors():  # adequacy_check typechecks before it runs anything
         report = adequacy_check(_load_program(source), cfg)
     click.echo(report.to_json() if fmt == "json" else report.to_csv(), nl=False)

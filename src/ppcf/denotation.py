@@ -4,13 +4,19 @@ Ground-type meanings are measures; arrow-type meanings are host
 closures mapping semantic values to semantic values.  The only
 observables are ground masses, so function values are never compared.
 
-``fix`` is Kleene iteration from the zero value.  Iteration stops when
-the total mass moves by less than ``mass_tol``.  The iterates are an
-increasing chain of sub-probability measures, so between two of them no
-set's mass grows by more than the total mass does: the one test bounds
-the step of every query, and the denotation does not depend on which
-sets are asked for.  At arrow types the fixpoint re-runs that iteration
-for every spine of arguments reaching ground type.
+A ground ``fix (fun y : real -> M)`` whose ``y`` occurs in ``M`` only in
+tail position (``M`` itself, an ``ifz`` branch, a ``let`` body) is solved
+in closed form.  Its functional is affine, ``F(nu) = A + q*nu`` with
+``A = F(0)`` and ``q = |F(delta_0)| - |A|``, so the least fixpoint is the
+geometric series ``A / (1 - q)``.  Every ``#observe`` is such a loop.
+
+Every other ``fix`` is Kleene iteration from the zero value.  Iteration
+stops when the total mass moves by less than ``mass_tol``.  The iterates
+are an increasing chain of sub-probability measures, so between two of
+them no set's mass grows by more than the total mass does: the one test
+bounds the step of every query, and the denotation does not depend on
+which sets are asked for.  At arrow types the fixpoint re-runs that
+iteration for every spine of arguments reaching ground type.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .terms import (
     Type,
     Var,
     _SampleTerm,
+    free_vars,
 )
 
 _ZERO_SET = IntervalSet.point(0.0)
@@ -185,6 +192,10 @@ def interpret(
             fun = interpret(body, env, quad=quad, fix=fix, table=table)
             if not isinstance(fun, SemFunction):
                 raise TypeError("fix needs a function value")
+            if isinstance(body, Abs) and body.annot == REAL and _tail_only(body.body, body.name):
+                solved = _solve_affine(fun, quad)
+                if solved is not None:
+                    return solved
             return fixpoint(fun, fix, quad=quad)
         case MacroCall():
             raise ValueError("interpret on unexpanded macro; expand sugar first")
@@ -276,7 +287,37 @@ def let_bind(bound: Measure, body, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -
     return IntegralMeasure(bound, body, cfg=cfg)
 
 
-# -- Kleene fixpoints ---------------------------------------------------------
+# -- fixpoints ----------------------------------------------------------------
+
+
+def _tail_only(t: Term, y: str) -> bool:
+    """Whether `y` occurs free in `t` only in tail position."""
+    match t:
+        case Var(_):
+            return True
+        case Ifz(scrutinee, then, otherwise):
+            return (y not in free_vars(scrutinee)
+                    and _tail_only(then, y) and _tail_only(otherwise, y))
+        case Let(name, bound, body):
+            return y not in free_vars(bound) and (name == y or _tail_only(body, y))
+    return y not in free_vars(t)
+
+
+def _solve_affine(f: SemFunction, quad: QuadratureConfig) -> SemMeasure | None:
+    """Least fixpoint of a ground functional F(nu) = A + q*nu: A / (1 - q).
+
+    q is read off F at a probability measure; the unit Dirac at 0 keeps
+    a deterministic ``let`` body compilable.  Returns None when rounding
+    leaves 1 - q <= 0 with |A| > 0, so the caller iterates instead.
+    """
+    a = _ground(f.apply(zero_value(REAL)))
+    a_mass = a.total_mass()
+    if a_mass == 0.0:
+        return SemMeasure(ConcreteMeasure((), (), quad))
+    gap = 1.0 - _ground(f.apply(SemMeasure(dirac(0.0, cfg=quad)))).total_mass() + a_mass
+    if gap <= 0.0:
+        return None
+    return SemMeasure(mix([1.0 / gap], [a], cfg=quad))
 
 
 def _iterate_ground(make_measure, cfg: FixConfig, quad: QuadratureConfig) -> Measure:

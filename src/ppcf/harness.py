@@ -120,12 +120,14 @@ def denotational_masses(term: Term, intervals, *, quad: QuadratureConfig,
                         ) -> list[float | Exception]:
     """Masses of the program denotation on each interval set.
 
-    The program is interpreted once for all the sets.  Its Kleene chains
-    stop when their total mass moves by less than ``fix.mass_tol``; the
-    iterates increase, so no set's mass moves by more than the total
-    does, and that one test bounds every query.  A denotation error is
-    returned in place of a mass: one raised while interpreting for every
-    set, one raised by a set's mass query for that set only.
+    The program is interpreted once for all the sets.  A tail-affine
+    ``fix`` (every ``#observe``) is solved in closed form.  Every other
+    ``fix`` stops its Kleene chain when the total mass moves by less than
+    ``fix.mass_tol``; the iterates increase, so no set's mass moves by
+    more than the total does, and that one test bounds every query.  A
+    denotation error is returned in place of a mass: one raised while
+    interpreting for every set, one raised by a set's mass query for
+    that set only.
     """
     try:
         measure = interpret(term, EMPTY_ENV, quad=quad, fix=fix, table=table).measure

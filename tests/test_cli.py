@@ -126,6 +126,8 @@ def test_stdin_input():
     ["stability", "wpor", "--grid", "1"],
     ["stability", "wpor", "--n", "-1"],
     ["stability", "--fn", "x1", "--fn-arity", "0"],
+    ["check", "3+2", "--intervals", "{5}", "--runs", "0"],
+    ["check", "3+2", "--intervals", "{5}", "--delta", "2"],
 ])
 def test_malformed_input_is_a_usage_error(args):
     res = _run(*args)

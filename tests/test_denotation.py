@@ -1,6 +1,8 @@
 import math
 
 import pytest
+
+import ppcf.denotation
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +218,113 @@ def test_fixpoint_at_arrow_type():
     # fix (\f. \x. x + 0) applied to 2 behaves like the identity on ground
     src = "fix (fun f : (real -> real) -> fun x : real -> x + 0) 2"
     assert _mass(src, IntervalSet.point(2.0)) == 1.0
+
+
+# -- tail-affine fixpoints -------------------------------------------------------
+
+
+@pytest.fixture
+def fix_calls(monkeypatch):
+    calls = []
+    real_fixpoint = ppcf.denotation.fixpoint
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real_fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(ppcf.denotation, "fixpoint", counting)
+    return calls
+
+
+@pytest.mark.parametrize("src, tol", [
+    ("#observe([0,5e-7]) sample", 1e-9),
+    ("#observe([0,0.001]) sample", 1e-12),
+])
+def test_thin_observe_has_full_mass(src, tol, fix_calls):
+    total = interpret(parse_term(src)).measure.total_mass()
+    assert abs(total - 1.0) <= tol
+    assert fix_calls == []
+
+
+def test_observe_exponential_closed_form():
+    got = _mass("#observe([0.2,0.9]) #exponential", parse_interval_set("(-inf,0.4]"))
+    want = (math.exp(-0.2) - math.exp(-0.4)) / (math.exp(-0.2) - math.exp(-0.9))
+    assert abs(got - 0.3600794) < 1e-7
+    assert abs(got - want) < 1e-12
+
+
+def test_nested_observe_closed_form():
+    got = _mass("#observe([0,0.5]) (#observe([0.2,0.9]) sample)", IntervalSet.closed(0.2, 0.35))
+    assert abs(got - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("tail", [
+    "y + 0",                                  # under a primitive
+    "let z = y in z",                         # in a let bound
+    "ifz y then 1 else 1",                    # in an ifz scrutinee
+    "(fun z : real -> z) y",                  # an application argument
+    "(fun z : real -> y) 1",                  # under fun
+])
+def test_non_tail_fix_iterates(tail, fix_calls):
+    # a discrete loop keeps every Kleene iterate a finite list of atoms
+    src = f"fix (fun y : real -> ifz #bernoulli 0.5 then 1 else {tail})"
+    m = interpret(parse_term(src)).measure
+    assert len(fix_calls) == 1
+    assert 1.0 - 1e-5 < m.mass(IntervalSet.point(1.0)) <= 1.0
+
+
+def test_arrow_fix_iterates(fix_calls):
+    assert _mass("fix (fun f : (real -> real) -> fun x : real -> x + 0) 2",
+                 IntervalSet.point(2.0)) == 1.0
+    assert len(fix_calls) == 1
+
+
+def test_nested_ifz_branches_are_solved(fix_calls):
+    # x in [0,0.5] returns x; else half the time 2, half the time loop:
+    # A = 0.5 uniform[0,0.5] + 0.25 {2} and q = 0.25
+    m = interpret(parse_term(
+        "fix (fun y : real -> let x = sample in"
+        " ifz chi[[0,0.5]](x) then (ifz chi[[0,0.5]](sample) then y else 2) else x)"
+    )).measure
+    assert fix_calls == []
+    assert abs(m.mass(IntervalSet.point(2.0)) - 1.0 / 3.0) < 1e-12
+    assert abs(m.mass(IntervalSet.closed(0.0, 0.5)) - 2.0 / 3.0) < 1e-12
+
+
+def test_shadowing_let_is_tail_only(fix_calls):
+    # the else branch's `y + 1` reads the inner y, so the outer y is tail-only
+    m = interpret(parse_term(
+        "fix (fun y : real -> let x = sample in"
+        " ifz chi[[0,0.5]](x) then y else (let y = sample in y + 1))"
+    )).measure
+    assert fix_calls == []
+    assert abs(m.mass(IntervalSet.closed(1.0, 2.0)) - 1.0) < 1e-12
+
+
+def test_identity_fix_is_zero_measure(fix_calls):
+    assert interpret(parse_term("fix (fun y : real -> y)")).measure.total_mass() == 0.0
+    assert fix_calls == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    prior=st.sampled_from(["sample", "#exponential"]),
+    place=st.floats(0.0, 1.0),
+    width=st.floats(0.05, 0.9),
+    points=st.lists(st.floats(-0.5, 2.5), min_size=1, max_size=4),
+)
+def test_solved_observe_lies_in_kleene_enclosure(prior, place, width, points):
+    # a Kleene iterate mu_k is a lower bound, and sub-probability bounds the
+    # rest: mu_k(U) <= m(U) <= mu_k(U) + 1 - mu_k(R)
+    lo = place * (1.0 - width)
+    body = f"let x = {prior} in ifz chi[[{lo!r},{lo + width!r}]](x) then y else x"
+    solved = interpret(parse_term(f"fix (fun y : real -> {body})")).measure
+    chain = fixpoint(interpret(parse_term(f"fun y : real -> {body}")), FixConfig()).measure
+    slack = 1.0 - chain.total_mass()
+    for z in points:
+        u = parse_interval_set(f"(-inf,{z!r}]")
+        lower = chain.mass(u)
+        assert lower - 1e-8 <= solved.mass(u) <= lower + slack + 1e-8
 
 
 def test_zero_value_shapes():

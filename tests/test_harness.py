@@ -74,7 +74,7 @@ def test_budget_truncation_keeps_inequality_direction():
 
 
 def test_nonconvergent_is_reported_not_raised():
-    prog = parse("#observe([0,0.0001]) sample")
+    prog = parse("fix (fun y : real -> let x = sample in #ifU(x, [0,0.0001], x, y + 0))")
     cfg = AdequacyConfig(
         intervals=(IntervalSet.closed(0.0, 0.0001),),
         runs=200,
@@ -86,6 +86,22 @@ def test_nonconvergent_is_reported_not_raised():
     assert not rep.overall_pass
     assert rep.queries[0].error is not None
     assert "NonConvergent" in rep.queries[0].error
+
+
+def test_thin_observe_is_solved_not_iterated():
+    # `y + 0` above leaves y under a primitive, so that fix iterates; the
+    # tail-affine #observe of the same window is solved without iterates
+    prog = parse("#observe([0,0.0001]) sample")
+    cfg = AdequacyConfig(
+        intervals=(IntervalSet.closed(0.0, 0.0001),),
+        runs=200,
+        budget=10,
+        seed=1,
+        fix=FixConfig(max_iters=25),
+    )
+    rep = adequacy_check(prog, cfg)
+    assert rep.queries[0].error is None
+    assert abs(rep.queries[0].denotational - 1.0) < 1e-9
 
 
 def test_bonferroni_widens_bound():
