@@ -25,7 +25,6 @@ from .intervals import IntervalSet, format_interval_set, parse_interval_set
 from .measure import (
     Atom,
     ConcreteMeasure,
-    DensityPart,
     DimensionLimit,
     IntegralMeasure,
     Measure,
@@ -35,7 +34,6 @@ from .measure import (
     lebesgue_unit,
     mix,
     pushforward,
-    uniform,
 )
 from .parser import ParseError, SourceProgram, parse, parse_term, pretty
 from .primitives import DEFAULT_TABLE, Primitive, PrimitiveTable, chi_name

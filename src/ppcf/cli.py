@@ -15,7 +15,6 @@ from .harness import AdequacyConfig, adequacy_check, cdf_grid, denotational_mass
 from .intervals import FULL_LINE, IntervalSet, format_interval_set, parse_interval_set
 from .measure import ConcreteMeasure
 from .parser import ParseError, SourceProgram, format_type, parse, parse_term, pretty
-from .quadrature import QuadratureConfig
 from .reduction import Exhausted, StuckNormal, Value, collect_outcomes
 from .stability import GALLERY, PointFn, check_pre_stable
 from .terms import REAL
@@ -156,15 +155,14 @@ def denote_cmd(source, intervals, cdf):
     with _input_errors():
         term = _load_program(source).inlined_main()
         typecheck({}, term)
-    quad = QuadratureConfig()
     fix = FixConfig()
     if intervals is None and cdf is None:
-        value = interpret(term, EMPTY_ENV, quad=quad, fix=fix)
+        value = interpret(term, EMPTY_ENV, fix=fix)
         queries = _default_denote_intervals(value.measure)
         masses = [value.measure.mass(u) for u in queries]
     else:
         queries = _parse_intervals(intervals, cdf)
-        masses = denotational_masses(term, queries, quad=quad, fix=fix)
+        masses = denotational_masses(term, queries, fix=fix)
         for m in masses:
             if isinstance(m, Exception):
                 raise m

@@ -35,7 +35,6 @@ from .measure import (
     pushforward,
 )
 from .primitives import DEFAULT_TABLE, Primitive, PrimitiveTable
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .terms import (
     REAL,
     Abs,
@@ -89,7 +88,6 @@ class SemMeasure:
 class SemFunction:
     fn: object  # SemValue -> SemValue
     domain: Type
-    codomain: Type
 
     def apply(self, arg):
         return self.fn(arg)
@@ -101,7 +99,7 @@ SemValue = SemMeasure | SemFunction
 def zero_value(ty: Type) -> SemValue:
     if ty == REAL:
         return SemMeasure(ConcreteMeasure())
-    return SemFunction(lambda _arg: zero_value(ty.codomain), ty.domain, ty.codomain)
+    return SemFunction(lambda _arg: zero_value(ty.codomain), ty.domain)
 
 
 class Env:
@@ -134,7 +132,6 @@ def interpret(
     t: Term,
     env: Env = EMPTY_ENV,
     *,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
     fix: FixConfig = DEFAULT_FIX,
     table: PrimitiveTable = DEFAULT_TABLE,
 ) -> SemValue:
@@ -142,61 +139,60 @@ def interpret(
         case Var(name):
             return env.lookup(name)
         case Numeral(value):
-            return SemMeasure(dirac(value, cfg=quad))
+            return SemMeasure(dirac(value))
         case _SampleTerm():
-            return SemMeasure(lebesgue_unit(cfg=quad))
+            return SemMeasure(lebesgue_unit())
         case Abs(name, annot, body):
             def closure(arg, _name=name, _body=body, _env=env):
-                return interpret(_body, _env.extend(_name, arg), quad=quad, fix=fix, table=table)
+                return interpret(_body, _env.extend(_name, arg), fix=fix, table=table)
 
-            codomain = None  # unknown without a typing pass; not observable
-            return SemFunction(closure, annot, codomain)
+            return SemFunction(closure, annot)
         case App(fun, arg):
-            fun_value = interpret(fun, env, quad=quad, fix=fix, table=table)
+            fun_value = interpret(fun, env, fix=fix, table=table)
             if not isinstance(fun_value, SemFunction):
                 raise TypeError("application of a ground-type value")
-            arg_value = interpret(arg, env, quad=quad, fix=fix, table=table)
+            arg_value = interpret(arg, env, fix=fix, table=table)
             return fun_value.apply(arg_value)
         case Prim(op, args):
             arg_measures = [
-                _ground(interpret(a, env, quad=quad, fix=fix, table=table)) for a in args
+                _ground(interpret(a, env, fix=fix, table=table)) for a in args
             ]
-            return SemMeasure(pushforward(table.lookup(op), arg_measures, cfg=quad))
+            return SemMeasure(pushforward(table.lookup(op), arg_measures))
         case Ifz(scrutinee, then, otherwise):
-            scrut = _ground(interpret(scrutinee, env, quad=quad, fix=fix, table=table))
+            scrut = _ground(interpret(scrutinee, env, fix=fix, table=table))
             p_zero = scrut.mass(_ZERO_SET)
             p_nonzero = scrut.mass(_NONZERO_SET)
             branches = []
             coeffs = []
             if p_zero != 0.0:
-                branches.append(_ground(interpret(then, env, quad=quad, fix=fix, table=table)))
+                branches.append(_ground(interpret(then, env, fix=fix, table=table)))
                 coeffs.append(p_zero)
             if p_nonzero != 0.0:
                 branches.append(
-                    _ground(interpret(otherwise, env, quad=quad, fix=fix, table=table))
+                    _ground(interpret(otherwise, env, fix=fix, table=table))
                 )
                 coeffs.append(p_nonzero)
-            return SemMeasure(mix(coeffs, branches, cfg=quad))
+            return SemMeasure(mix(coeffs, branches))
         case Let(name, bound, body):
-            bound_measure = _ground(interpret(bound, env, quad=quad, fix=fix, table=table))
+            bound_measure = _ground(interpret(bound, env, fix=fix, table=table))
             f = compile_deterministic(body, (name,), env, table)
             if f is not None:
-                return SemMeasure(pushforward(Primitive("let", 1, f), [bound_measure], cfg=quad))
+                return SemMeasure(pushforward(Primitive("let", 1, f), [bound_measure]))
 
             def body_at(r: float) -> Measure:
-                inner = env.extend(name, SemMeasure(dirac(r, cfg=quad)))
-                return _ground(interpret(body, inner, quad=quad, fix=fix, table=table))
+                inner = env.extend(name, SemMeasure(dirac(r)))
+                return _ground(interpret(body, inner, fix=fix, table=table))
 
-            return SemMeasure(let_bind(bound_measure, body_at, cfg=quad))
+            return SemMeasure(let_bind(bound_measure, body_at))
         case Fix(body):
-            fun = interpret(body, env, quad=quad, fix=fix, table=table)
+            fun = interpret(body, env, fix=fix, table=table)
             if not isinstance(fun, SemFunction):
                 raise TypeError("fix needs a function value")
             if isinstance(body, Abs) and body.annot == REAL and _tail_only(body.body, body.name):
-                solved = _solve_affine(fun, quad)
+                solved = _solve_affine(fun)
                 if solved is not None:
                     return solved
-            return fixpoint(fun, fix, quad=quad)
+            return fixpoint(fun, fix)
         case MacroCall():
             raise ValueError("interpret on unexpanded macro; expand sugar first")
     raise TypeError(f"not a term: {t!r}")
@@ -209,7 +205,7 @@ def _ground(v: SemValue) -> Measure:
 
 
 def _unit_atom(m: Measure) -> float | None:
-    if isinstance(m, ConcreteMeasure) and not m.densities and len(m.atoms) == 1:
+    if isinstance(m, ConcreteMeasure) and not m.lebesgue and len(m.atoms) == 1:
         atom = m.atoms[0]
         if atom.weight == 1.0:
             return atom.location
@@ -274,17 +270,17 @@ def _compile(t: Term, names: tuple[str, ...], env: Env, table: PrimitiveTable):
     return None
 
 
-def let_bind(bound: Measure, body, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Measure:
+def let_bind(bound: Measure, body) -> Measure:
     """The ground let: U |-> integral of body(r)(U) against `bound`.
 
     An atom-only bound collapses to an exact weighted sum of body
     measures; anything else stays a lazily-queried integral.
     """
-    if isinstance(bound, ConcreteMeasure) and not bound.densities:
+    if isinstance(bound, ConcreteMeasure) and not bound.lebesgue:
         coeffs = [atom.weight for atom in bound.atoms]
         measures = [body(atom.location) for atom in bound.atoms]
-        return mix(coeffs, measures, cfg=cfg)
-    return IntegralMeasure(bound, body, cfg=cfg)
+        return mix(coeffs, measures)
+    return IntegralMeasure(bound, body)
 
 
 # -- fixpoints ----------------------------------------------------------------
@@ -303,7 +299,7 @@ def _tail_only(t: Term, y: str) -> bool:
     return y not in free_vars(t)
 
 
-def _solve_affine(f: SemFunction, quad: QuadratureConfig) -> SemMeasure | None:
+def _solve_affine(f: SemFunction) -> SemMeasure | None:
     """Least fixpoint of a ground functional F(nu) = A + q*nu: A / (1 - q).
 
     q is read off F at a probability measure; the unit Dirac at 0 keeps
@@ -313,14 +309,14 @@ def _solve_affine(f: SemFunction, quad: QuadratureConfig) -> SemMeasure | None:
     a = _ground(f.apply(zero_value(REAL)))
     a_mass = a.total_mass()
     if a_mass == 0.0:
-        return SemMeasure(ConcreteMeasure((), (), quad))
-    gap = 1.0 - _ground(f.apply(SemMeasure(dirac(0.0, cfg=quad)))).total_mass() + a_mass
+        return SemMeasure(ConcreteMeasure())
+    gap = 1.0 - _ground(f.apply(SemMeasure(dirac(0.0)))).total_mass() + a_mass
     if gap <= 0.0:
         return None
-    return SemMeasure(mix([1.0 / gap], [a], cfg=quad))
+    return SemMeasure(mix([1.0 / gap], [a]))
 
 
-def _iterate_ground(make_measure, cfg: FixConfig, quad: QuadratureConfig) -> Measure:
+def _iterate_ground(make_measure, cfg: FixConfig) -> Measure:
     """Iterate k -> make_measure(k) until the total mass settles.
 
     make_measure(k) must be the ground meaning of the k-th Kleene
@@ -334,12 +330,11 @@ def _iterate_ground(make_measure, cfg: FixConfig, quad: QuadratureConfig) -> Mea
         chain.append(nxt)
         previous, total = total, nxt.total_mass()
         if abs(total - previous) < cfg.mass_tol:
-            return FixpointChainMeasure(chain, cfg=quad)
+            return FixpointChainMeasure(chain)
     raise NonConvergent(cfg.max_iters, {FULL_LINE.key(): total})
 
 
-def fixpoint(f: SemFunction, cfg: FixConfig = DEFAULT_FIX,
-             quad: QuadratureConfig = DEFAULT_QUADRATURE) -> SemValue:
+def fixpoint(f: SemFunction, cfg: FixConfig = DEFAULT_FIX) -> SemValue:
     """sup of f^n(0) from the zero value of f's domain type.
 
     At ground type the chain of iterates is materialized once; at
@@ -360,9 +355,7 @@ def fixpoint(f: SemFunction, cfg: FixConfig = DEFAULT_FIX,
                     v = v.apply(arg)
                 return _ground(v)
 
-            return SemMeasure(_iterate_ground(make_measure, cfg, quad))
-        return SemFunction(
-            lambda arg: value_at(ty.codomain, spine + (arg,)), ty.domain, ty.codomain
-        )
+            return SemMeasure(_iterate_ground(make_measure, cfg))
+        return SemFunction(lambda arg: value_at(ty.codomain, spine + (arg,)), ty.domain)
 
     return value_at(ty, ())

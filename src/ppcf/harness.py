@@ -24,7 +24,7 @@ from .intervals import IntervalSet, format_interval_set
 from .measure import DimensionLimit
 from .parser import SourceProgram
 from .primitives import DEFAULT_TABLE, PrimitiveTable
-from .quadrature import QuadratureConfig, QuadratureFailure
+from .quadrature import DEFAULT_QUADRATURE, QuadratureFailure
 from .reduction import Exhausted, Value, collect_outcomes, dkw_bound
 from .terms import Term
 from .typecheck import typecheck
@@ -36,7 +36,6 @@ class AdequacyConfig:
     runs: int = 100_000
     budget: int = 10_000
     confidence: float = 0.01
-    quadrature: QuadratureConfig = QuadratureConfig()
     fix: FixConfig = FixConfig()
     seed: int = 0
     bonferroni: bool = False
@@ -115,9 +114,8 @@ class AdequacyReport:
 _DENOTATION_ERRORS = (NonConvergent, QuadratureFailure, DimensionLimit)
 
 
-def denotational_masses(term: Term, intervals, *, quad: QuadratureConfig,
-                        fix: FixConfig, table: PrimitiveTable = DEFAULT_TABLE
-                        ) -> list[float | Exception]:
+def denotational_masses(term: Term, intervals, *, fix: FixConfig,
+                        table: PrimitiveTable = DEFAULT_TABLE) -> list[float | Exception]:
     """Masses of the program denotation on each interval set.
 
     The program is interpreted once for all the sets.  A tail-affine
@@ -130,7 +128,7 @@ def denotational_masses(term: Term, intervals, *, quad: QuadratureConfig,
     that set only.
     """
     try:
-        measure = interpret(term, EMPTY_ENV, quad=quad, fix=fix, table=table).measure
+        measure = interpret(term, EMPTY_ENV, fix=fix, table=table).measure
     except _DENOTATION_ERRORS as exc:
         return [exc] * len(intervals)
     masses: list[float | Exception] = []
@@ -164,10 +162,9 @@ def adequacy_check(program: SourceProgram, cfg: AdequacyConfig,
     if cfg.bonferroni and cfg.intervals:
         per_query_confidence = cfg.confidence / len(cfg.intervals)
     dkw = dkw_bound(cfg.runs, per_query_confidence)
-    quad_tol = cfg.quadrature.abs_tol + cfg.fix.mass_tol
+    quad_tol = DEFAULT_QUADRATURE.abs_tol + cfg.fix.mass_tol
 
-    dens = denotational_masses(term, cfg.intervals, quad=cfg.quadrature, fix=cfg.fix,
-                               table=den_table)
+    dens = denotational_masses(term, cfg.intervals, fix=cfg.fix, table=den_table)
     queries = []
     overall = True
     for u, den in zip(cfg.intervals, dens):

@@ -1,8 +1,10 @@
 """Sub-probability measures on the real line.
 
 Two kinds of measure live here.  *Concrete* measures are finite lists of
-Dirac atoms plus weighted density components on bounded supports; their
-masses are exact on atoms and quadrature-accurate on densities.
+Dirac atoms plus weighted copies of Lebesgue measure on [0,1], the
+meaning of ``sample``; every other continuous distribution the language
+denotes is a pushforward of it.  Their masses are exact: an atom adds its
+weight, and a Lebesgue weight adds ``weight * length``.
 *Queryable* measures (primitive pushforwards, ``let``-integrals,
 weighted sums, fixpoint chains) answer ``mass(U)`` and ``integrate(g)``
 on demand and memoize mass queries per interval set.
@@ -22,7 +24,7 @@ from typing import Callable
 
 from .intervals import FULL_LINE, IntervalSet
 from .primitives import Primitive
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_adaptive
+from .quadrature import integrate_adaptive
 
 
 class DimensionLimit(Exception):
@@ -41,34 +43,19 @@ class Atom:
             raise ValueError("atom weight must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DensityPart:
-    """weight * (density restricted to a bounded support)."""
-
-    support: IntervalSet
-    density: Callable[[float], float]
-    weight: float
-
-    def __post_init__(self):
-        if not self.support.bounded():
-            raise ValueError("density support must be bounded (truncate first)")
-        if self.weight < 0:
-            raise ValueError("density weight must be nonnegative")
-
+_UNIT = IntervalSet.closed(0.0, 1.0)
 
 # Initial uniform subdivision for mass integrands.  Mass queries on
 # queryable measures integrate indicator-shaped functions whose support
-# can dodge the five Simpson probes of a single panel; pre-splitting the
-# density supports bounds the miss window to features narrower than
-# about 1/(4 * refine) of a support piece.  Constant panels collapse in
-# one probe, so the overhead on flat regions is small.
+# can dodge the five Simpson probes of a single panel; pre-splitting
+# [0,1] bounds the miss window to features narrower than about
+# 1/(4 * refine).  Constant panels collapse in one probe, so the
+# overhead on flat regions is small.
 MASS_REFINE = 32
 
 
 class Measure:
     """Common query interface; concrete subclasses below."""
-
-    cfg: QuadratureConfig
 
     def mass(self, u: IntervalSet) -> float:
         raise NotImplementedError
@@ -85,32 +72,34 @@ class Measure:
 
 
 class ConcreteMeasure(Measure):
-    __slots__ = ("atoms", "densities", "cfg")
+    """Dirac atoms plus weights of Lebesgue measure on [0,1].
 
-    def __init__(self, atoms=(), densities=(), cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    The weights are kept apart, never summed, so a mass adds one term per
+    weight in the order ``mix`` met them.
+    """
+
+    __slots__ = ("atoms", "lebesgue")
+
+    def __init__(self, atoms=(), lebesgue=()):
         self.atoms = tuple(atoms)
-        self.densities = tuple(densities)
-        self.cfg = cfg
+        self.lebesgue = tuple(lebesgue)
 
     @property
     def has_continuous(self) -> bool:
-        return bool(self.densities)
+        return bool(self.lebesgue)
 
     def mass(self, u: IntervalSet) -> float:
         total = 0.0
         for atom in self.atoms:
             if u.contains(atom.location):
                 total += atom.weight
-        for part in self.densities:
-            if part.weight == 0.0:
-                continue
-            clipped = part.support.intersect(u)
-            for piece in clipped.pieces:
-                if piece.is_point:
-                    continue
-                total += part.weight * integrate_adaptive(
-                    part.density, piece.lo, piece.hi, cfg=self.cfg
-                )
+        if self.lebesgue:
+            lengths = [piece.hi - piece.lo for piece in _UNIT.intersect(u).pieces
+                       if not piece.is_point]
+            for weight in self.lebesgue:
+                if weight != 0.0:
+                    for length in lengths:
+                        total += weight * length
         return total
 
     def integrate(self, g, refine: int = 0) -> float:
@@ -118,58 +107,24 @@ class ConcreteMeasure(Measure):
         for atom in self.atoms:
             if atom.weight != 0.0:
                 total += atom.weight * g(atom.location)
-        for part in self.densities:
-            if part.weight == 0.0:
-                continue
-            fn = part.density
-            for piece in part.support.pieces:
-                if piece.is_point:
-                    continue
-                knots = ()
-                if refine > 1:
-                    width = piece.hi - piece.lo
-                    knots = tuple(
-                        piece.lo + width * k / refine for k in range(1, refine)
-                    )
-                total += part.weight * integrate_adaptive(
-                    lambda r: g(r) * fn(r), piece.lo, piece.hi, cfg=self.cfg,
-                    knots=knots,
-                )
+        if self.lebesgue:
+            knots = tuple(k / refine for k in range(1, refine)) if refine > 1 else ()
+            for weight in self.lebesgue:
+                if weight != 0.0:
+                    total += weight * integrate_adaptive(g, 0.0, 1.0, knots=knots)
         return total
 
     def __repr__(self):
-        return f"ConcreteMeasure(atoms={self.atoms!r}, densities={len(self.densities)})"
+        return f"ConcreteMeasure(atoms={self.atoms!r}, lebesgue={self.lebesgue!r})"
 
 
-ZERO = ConcreteMeasure()
+def dirac(location: float, weight: float = 1.0) -> ConcreteMeasure:
+    return ConcreteMeasure((Atom(location, weight),))
 
 
-def dirac(location: float, weight: float = 1.0,
-          cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ConcreteMeasure:
-    return ConcreteMeasure((Atom(location, weight),), (), cfg)
-
-
-def lebesgue_unit(cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ConcreteMeasure:
-    """The uniform distribution on [0,1] (density identically 1)."""
-    return ConcreteMeasure((), (DensityPart(IntervalSet.closed(0.0, 1.0), lambda r: 1.0, 1.0),), cfg)
-
-
-def uniform(lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ConcreteMeasure:
-    if not lo < hi:
-        raise ValueError("uniform needs lo < hi")
-    height = 1.0 / (hi - lo)
-    return ConcreteMeasure(
-        (), (DensityPart(IntervalSet.closed(lo, hi), lambda r: height, 1.0),), cfg
-    )
-
-
-def density_measure(support: IntervalSet, fn, weight: float = 1.0,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ConcreteMeasure:
-    """Weighted density; unbounded supports are truncated at cfg.truncation."""
-    if not support.bounded():
-        lo, hi = cfg.truncation
-        support = support.intersect(IntervalSet.closed(lo, hi))
-    return ConcreteMeasure((), (DensityPart(support, fn, weight),), cfg)
+def lebesgue_unit() -> ConcreteMeasure:
+    """The uniform distribution on [0,1], the meaning of ``sample``."""
+    return ConcreteMeasure((), (1.0,))
 
 
 class _Memoized(Measure):
@@ -201,13 +156,12 @@ class _PreimageUnsupported(Exception):
 class PushforwardMeasure(_Memoized):
     """Image of a product of argument measures under a primitive."""
 
-    __slots__ = ("prim", "args", "cfg")
+    __slots__ = ("prim", "args")
 
-    def __init__(self, prim: Primitive, args, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    def __init__(self, prim: Primitive, args):
         super().__init__()
         self.prim = prim
         self.args = tuple(args)
-        self.cfg = cfg
         if len(self.args) != prim.arity:
             raise ValueError(f"{prim.name} expects {prim.arity} arguments")
         continuous = sum(1 for a in self.args if a.has_continuous)
@@ -286,14 +240,12 @@ class IntegralMeasure(_Memoized):
     queries with different interval sets reuse the same tower.
     """
 
-    __slots__ = ("bound", "body", "cfg", "_body_cache")
+    __slots__ = ("bound", "body", "_body_cache")
 
-    def __init__(self, bound: Measure, body: Callable[[float], Measure],
-                 cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    def __init__(self, bound: Measure, body: Callable[[float], Measure]):
         super().__init__()
         self.bound = bound
         self.body = body
-        self.cfg = cfg
         self._body_cache: dict[float, Measure] = {}
 
     def _body_at(self, r: float) -> Measure:
@@ -317,13 +269,12 @@ class IntegralMeasure(_Memoized):
 
 
 class WeightedSumMeasure(_Memoized):
-    __slots__ = ("coeffs", "measures", "cfg")
+    __slots__ = ("coeffs", "measures")
 
-    def __init__(self, coeffs, measures, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    def __init__(self, coeffs, measures):
         super().__init__()
         self.coeffs = tuple(coeffs)
         self.measures = tuple(measures)
-        self.cfg = cfg
 
     def _compute_mass(self, u: IntervalSet) -> float:
         return sum(c * m.mass(u) for c, m in zip(self.coeffs, self.measures))
@@ -340,13 +291,12 @@ class FixpointChainMeasure(Measure):
     chain length.
     """
 
-    __slots__ = ("chain", "cfg")
+    __slots__ = ("chain",)
 
-    def __init__(self, chain, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+    def __init__(self, chain):
         if not chain:
             raise ValueError("fixpoint chain must be nonempty")
         self.chain = tuple(chain)
-        self.cfg = cfg
 
     @property
     def has_continuous(self) -> bool:
@@ -362,7 +312,7 @@ class FixpointChainMeasure(Measure):
         return self.chain[-1].integrate(g, refine)
 
 
-def mix(coeffs, measures, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Measure:
+def mix(coeffs, measures) -> Measure:
     """Weighted sum of measures; concrete inputs merge into one concrete measure."""
     coeffs = [float(c) for c in coeffs]
     measures = list(measures)
@@ -372,29 +322,26 @@ def mix(coeffs, measures, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Measure
         raise ValueError("mix coefficients must be nonnegative")
     live = [(c, m) for c, m in zip(coeffs, measures) if c != 0.0]
     if not live:
-        return ConcreteMeasure((), (), cfg)
+        return ConcreteMeasure()
     if all(isinstance(m, ConcreteMeasure) for _, m in live):
         merged: dict[float, float] = {}
-        densities = []
         for c, m in live:
             for atom in m.atoms:
                 merged[atom.location] = merged.get(atom.location, 0.0) + c * atom.weight
-            for part in m.densities:
-                densities.append(DensityPart(part.support, part.density, c * part.weight))
         atoms = tuple(Atom(loc, w) for loc, w in sorted(merged.items()))
-        return ConcreteMeasure(atoms, tuple(densities), cfg)
-    return WeightedSumMeasure([c for c, _ in live], [m for _, m in live], cfg)
+        return ConcreteMeasure(atoms, [c * w for c, m in live for w in m.lebesgue])
+    return WeightedSumMeasure([c for c, _ in live], [m for _, m in live])
 
 
 _ATOM_COLLAPSE_LIMIT = 100_000
 
 
-def pushforward(prim: Primitive, args, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Measure:
+def pushforward(prim: Primitive, args) -> Measure:
     """Image measure of prim applied to independent argument measures."""
     args = tuple(args)
     if len(args) != prim.arity:
         raise ValueError(f"{prim.name} expects {prim.arity} arguments, got {len(args)}")
-    if all(isinstance(a, ConcreteMeasure) and not a.densities for a in args):
+    if all(isinstance(a, ConcreteMeasure) and not a.lebesgue for a in args):
         combos = 1
         for a in args:
             combos *= max(len(a.atoms), 1)
@@ -413,5 +360,5 @@ def pushforward(prim: Primitive, args, cfg: QuadratureConfig = DEFAULT_QUADRATUR
 
             walk(0, [], 1.0)
             atoms = tuple(Atom(loc, w) for loc, w in sorted(out.items()) if w != 0.0)
-            return ConcreteMeasure(atoms, (), cfg)
-    return PushforwardMeasure(prim, args, cfg)
+            return ConcreteMeasure(atoms)
+    return PushforwardMeasure(prim, args)

@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intervals import Interval, IntervalSet, _piece
+from .intervals import EMPTY, Interval, IntervalSet, _piece
 from .primitives import CHI_PREFIX, DEFAULT_TABLE, PrimitiveTable, chi_name
-from .sugar import MACRO_SIGNATURES, expand_sugar
+from .sugar import MACRO_SIGNATURES, ArityError, expand_macro, expand_sugar
 from .terms import (
     REAL,
     SAMPLE,
@@ -337,8 +337,7 @@ class _Parser:
             self.expect(")")
             return Prim(chi_name(u), (arg,))
         if tok.kind == "symbol" and tok.text == "#":
-            self.advance()
-            return self.macro_call()
+            return self.macro_call(self.advance())
         if tok.kind == "ident":
             name = self.advance().text
             if name in self.table:
@@ -365,7 +364,7 @@ class _Parser:
             {"<number>", "<name>", "sample", "(", "#", "chi"},
         )
 
-    def macro_call(self) -> Term:
+    def macro_call(self, hash_tok: Token) -> Term:
         tok = self.peek()
         if tok.kind != "ident" or tok.text not in MACRO_SIGNATURES:
             self.fail(f"unknown macro #{tok.text!r}")
@@ -388,6 +387,10 @@ class _Parser:
                     self.advance()
                     args.append(int(num.text))
             self.expect(")")
+        try:  # the builder checks argument values, e.g. #expectation(0)
+            expand_macro(name, tuple(args))
+        except ArityError as exc:
+            raise ParseError(str(exc), hash_tok.line, hash_tok.col) from None
         return MacroCall(name, tuple(args))
 
     # -- interval-set literals --------------------------------------------
@@ -409,6 +412,10 @@ class _Parser:
         return -v if neg else v
 
     def interval_set(self) -> IntervalSet:
+        if self.at("{") and self.tokens[self.pos + 1].text == "}":
+            self.advance()
+            self.advance()
+            return EMPTY  # the whole literal "{}", as format_interval_set writes it
         pieces = [self.interval_piece()]
         while self.at("∪") or self.at("+"):
             self.advance()

@@ -1,7 +1,7 @@
 """Adaptive Simpson quadrature with plateau/step resolution.
 
 Integrands coming out of the measure layer fall into two families:
-smooth densities, and piecewise-constant "mass of an indicator" maps
+smooth functions of a ``sample``, and piecewise-constant "mass of an indicator" maps
 with a handful of jumps.  Classic adaptive Simpson handles the first;
 for the second this module adds two twists:
 
@@ -30,7 +30,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     max_depth: int = 60
-    truncation: tuple[float, float] = (-1e6, 1e6)
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -129,8 +128,9 @@ def integrate_adaptive(f, a: float, b: float, *, cfg: QuadratureConfig = DEFAULT
                        knots=()) -> float:
     """Integrate f over [a, b], subdividing first at the given interior knots.
 
-    Knots mark known kink locations (density-partition boundaries); each
-    panel then gets an equal share of the absolute tolerance.
+    Knots mark where to split before adapting (the measure layer splits
+    [0,1] evenly for mass integrands); each panel then gets an equal
+    share of the absolute tolerance.
     """
     if a == b:
         return 0.0

@@ -128,6 +128,10 @@ def test_stdin_input():
     ["stability", "--fn", "x1", "--fn-arity", "0"],
     ["check", "3+2", "--intervals", "{5}", "--runs", "0"],
     ["check", "3+2", "--intervals", "{5}", "--delta", "2"],
+    ["run", "#expectation(0) (fun x : real -> x) sample"],
+    ["check", "#expectation(0) (fun x : real -> x) sample", "--intervals", "{0}"],
+    ["denote", "#expectation(0) (fun x : real -> x) sample"],
+    ["parse", "#expectation(0) (fun x : real -> x) sample"],
 ])
 def test_malformed_input_is_a_usage_error(args):
     res = _run(*args)

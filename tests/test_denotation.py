@@ -156,7 +156,7 @@ def test_let_bind_gaussian_matches_analytic():
 
 
 def test_fixpoint_identity_is_zero_measure():
-    ident = SemFunction(lambda v: v, REAL, REAL)
+    ident = SemFunction(lambda v: v, REAL)
     out = fixpoint(ident, FixConfig())
     assert out.measure.total_mass() == 0.0
 

@@ -8,7 +8,7 @@ from ppcf.harness import AdequacyConfig, adequacy_check, cdf_grid, denotational_
 from ppcf.intervals import FULL_LINE, IntervalSet, parse_interval_set
 from ppcf.parser import parse
 from ppcf.primitives import DEFAULT_TABLE, Primitive
-from ppcf.quadrature import QuadratureConfig, QuadratureFailure
+from ppcf.quadrature import QuadratureFailure
 from ppcf.denotation import FixConfig
 
 
@@ -147,10 +147,39 @@ def test_denotational_masses_uses_query_probes():
     got = denotational_masses(
         term,
         [IntervalSet.closed(0.0, 0.25)],
-        quad=QuadratureConfig(),
         fix=FixConfig(),
     )
     assert abs(got[0] - 0.5) < 1e-6
+
+
+# Pinned masses: a refactor of the denotation must keep these bits.  The
+# corpus uses only +, *, /, <=, chi, ifz, let and sample, so the bits do
+# not depend on the platform's libm.
+_GRID = ("(-inf,0]", "(-inf,0.5]", "(-inf,1]")
+_GOLDEN_MASSES = [
+    ("#bernoulli 0.3", ("{0}", "{1}"),
+     ("0x1.6666666666666p-1", "0x1.3333333333333p-2")),
+    ("0.7 * sample + 0.2", _GRID,
+     ("0x0.0p+0", "0x1.b6db6db6db6dbp-2", "0x1.0000000000000p+0")),
+    ("let x = sample in let y = sample in x + y", _GRID,
+     ("0x0.0p+0", "0x1.0000000000000p-3", "0x1.0000000000000p-1")),
+    ("let x = sample in let y = sample in x * y", _GRID,
+     ("0x1.3e93e93e93e94p-54", "0x1.b17217f7d1d60p-1", "0x1.0000000000000p+0")),
+    ("#observe([0.2,0.9]) sample", _GRID,
+     ("0x0.0p+0", "0x1.b6db6db6db6dcp-2", "0x1.0000000000000p+0")),
+    ("#expectation(2) (fun x : real -> x) sample", _GRID,
+     ("0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0")),
+    ("fix (fun y : real -> ifz #bernoulli 0.5 then 1 else y + 0)", ("{1}",),
+     ("0x1.ffffe00000000p-1",)),
+]
+
+
+@pytest.mark.parametrize("source,sets,want", _GOLDEN_MASSES,
+                         ids=[src for src, _, _ in _GOLDEN_MASSES])
+def test_denotational_masses_are_bit_identical_to_golden(source, sets, want):
+    term = parse(source).inlined_main()
+    got = denotational_masses(term, [parse_interval_set(s) for s in sets], fix=FixConfig())
+    assert tuple(m.hex() for m in got) == want
 
 
 def test_check_interprets_once_for_all_queries(monkeypatch):

@@ -6,16 +6,13 @@ from ppcf.intervals import FULL_LINE, IntervalSet, parse_interval_set
 from ppcf.measure import (
     Atom,
     ConcreteMeasure,
-    DensityPart,
     DimensionLimit,
     IntegralMeasure,
     WeightedSumMeasure,
-    density_measure,
     dirac,
     lebesgue_unit,
     mix,
     pushforward,
-    uniform,
 )
 from ppcf.primitives import DEFAULT_TABLE
 from ppcf.rng import RngStream
@@ -63,9 +60,9 @@ def test_integrate_dirac_evaluates():
 
 
 def test_integrate_exponential_total():
-    m = density_measure(IntervalSet.closed(0.0, 40.0), lambda s: math.exp(-s))
+    m = pushforward(_prim("neg_log"), [lebesgue_unit()])
     got = m.integrate(lambda r: 1.0)
-    assert abs(got - (1.0 - math.exp(-40.0))) < 1e-9
+    assert abs(got - 1.0) < 1e-9
 
 
 # -- mix -------------------------------------------------------------------------
@@ -228,7 +225,7 @@ def _probe_measures():
             dirac(0.5),
             lebesgue_unit(),
             mix([0.3, 0.7], [dirac(1.0), dirac(0.0)]),
-            density_measure(IntervalSet.closed(0.0, 5.0), lambda s: math.exp(-s)),
+            pushforward(_prim("neg_log"), [lebesgue_unit()]),
             pushforward(_prim("add"), [lebesgue_unit(), dirac(0.25)]),
         ]
     return _PROBE_MEASURES
@@ -265,14 +262,3 @@ def test_cone_order():
         nu = mix([1.0, 1.0], [m, rho])
         for u in _PROBE_SETS:
             assert m.mass(u) <= nu.mass(u) + 1e-9
-
-
-def test_density_support_must_be_bounded():
-    with pytest.raises(ValueError):
-        DensityPart(FULL_LINE, lambda r: 1.0, 1.0)
-
-
-def test_density_measure_truncates():
-    m = density_measure(parse_interval_set("[0,inf)"), lambda s: math.exp(-s))
-    assert m.densities[0].support.bounded()
-    assert abs(m.total_mass() - 1.0) < 1e-9

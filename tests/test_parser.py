@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppcf.intervals import parse_interval_set
 from ppcf.parser import ParseError, format_type, parse, parse_term, pretty
+from ppcf.primitives import chi_name
 from ppcf.terms import (
     REAL,
     SAMPLE,
@@ -117,6 +119,13 @@ def test_macro_parses():
     assert t.arg is SAMPLE
 
 
+def test_macro_argument_rejected_by_builder_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_term("1 +\n  #expectation(0) (fun x : real -> x) sample")
+    assert (err.value.line, err.value.col) == (2, 3)
+    assert "n >= 1" in str(err.value)
+
+
 def test_pretty_numerals():
     assert pretty(Numeral(5.0)) == "5"
     assert pretty(Numeral(0.5)) == "0.5"
@@ -163,6 +172,9 @@ def test_roundtrip_corpus(src):
 
 
 _names = st.sampled_from(["x", "y", "f", "g", "x#1"])
+_chi_sets = st.sampled_from(
+    ["{}", "{0.5}", "[0,0.5]", "(-inf,0.25]", "[0,1e+20]"]
+).map(parse_interval_set)
 
 
 def _terms(depth):
@@ -182,6 +194,7 @@ def _terms(depth):
         st.builds(lambda a, b: Prim("mul", (a, b)), sub, sub),
         st.builds(lambda a, b: Prim("le", (a, b)), sub, sub),
         st.builds(lambda a: Prim("log", (a,)), sub),
+        st.builds(lambda u, a: Prim(chi_name(u), (a,)), _chi_sets, sub),
         st.builds(Ifz, sub, sub, sub),
         st.builds(Let, _names, sub, sub),
     )
