@@ -99,8 +99,8 @@ def typecheck_cmd(source):
 
 @main.command("run")
 @click.argument("source")
-@click.option("--runs", default=1, show_default=True)
-@click.option("--budget", default=10_000, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--budget", type=click.IntRange(min=0), default=10_000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def run_cmd(source, runs, budget, seed):
     """Run the operational semantics; print outcomes or a summary."""
@@ -124,6 +124,7 @@ def run_cmd(source, runs, budget, seed):
         "seed": _resolve_seed(seed),
         "value_runs": len(values),
         "exhausted_runs": sum(1 for o in outcomes if isinstance(o, Exhausted)),
+        "stuck_runs": sum(1 for o in outcomes if isinstance(o, StuckNormal)),
         "mean_value": (sum(values) / len(values)) if values else None,
         "min_value": min(values) if values else None,
         "max_value": max(values) if values else None,
@@ -189,7 +190,7 @@ def check_cmd(source, intervals, cdf, runs, budget, seed, delta, bonferroni, fmt
     try:
         cfg = AdequacyConfig(intervals=queries, runs=runs, budget=budget, confidence=delta,
                              seed=_resolve_seed(seed), bonferroni=bonferroni)
-    except ValueError as exc:  # --runs below the floor or --delta outside (0, 1)
+    except ValueError as exc:  # --runs below the floor, --budget < 0, --delta outside (0, 1)
         raise click.UsageError(str(exc)) from None
     with _input_errors():  # adequacy_check typechecks before it runs anything
         report = adequacy_check(_load_program(source), cfg)

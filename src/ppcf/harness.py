@@ -44,6 +44,8 @@ class AdequacyConfig:
         object.__setattr__(self, "intervals", tuple(self.intervals))
         if self.runs < 100:
             raise ValueError("adequacy needs runs >= 100")
+        if self.budget < 0:
+            raise ValueError("adequacy needs budget >= 0")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
 

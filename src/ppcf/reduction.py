@@ -1,9 +1,19 @@
 """Call-by-name stochastic reduction and the Monte-Carlo mass estimator.
 
-A term decomposes into an evaluation context (a stack of frames) and a
-unique redex, or is a normal form.  Frames restrict where reduction may
-happen: head of an application, the scrutinee of ``ifz``, the bound
-position of ``let``, and the leftmost non-numeral primitive argument.
+The small-step rules are the executable spec.  A term decomposes into
+an evaluation context (a stack of frames) and a unique redex, or is a
+normal form.  Frames restrict where reduction may happen: head of an
+application, the scrutinee of ``ifz``, the bound position of ``let``,
+and the leftmost non-numeral primitive argument.  ``decompose``,
+``contract`` and ``step`` state these rules; tests check ``run`` against
+them.
+
+``run`` is an environment machine for the same rules: a Krivine-style
+call-by-name machine (Krivine, "A call-by-name lambda-calculus machine",
+HOSC 2007) with call-by-value ground ``let``.  It never rebuilds or
+substitutes into the term, so the cost of a step does not grow with
+the term.  It counts exactly the contractions the rules count, draws
+in the same order and calls the same primitives on the same floats.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from .terms import (
     Numeral,
     Prim,
     Term,
+    Var,
     _SampleTerm,
     substitute,
 )
@@ -185,25 +196,154 @@ class Exhausted:
 Outcome = Value | StuckNormal | Exhausted
 
 
+# continuation frames of the machine: (_ARG, term, env) is a pending
+# argument thunk, (_IFZ, node, env) and (_LET, node, env) wait for their
+# numeral, (_PRIM, node, env, values) holds the arguments evaluated so far
+_ARG, _IFZ, _LET, _PRIM = range(4)
+_UNBOUND = object()
+
+
 def run(t: Term, budget: int, rng: RngStream, table: PrimitiveTable = DEFAULT_TABLE) -> Outcome:
-    """Iterate the reduction at most `budget` steps from a closed ground term."""
-    current = t
-    for steps in range(budget + 1):
-        match decompose(current):
-            case NormalForm(term):
-                if isinstance(term, Numeral):
-                    return Value(term.value, steps)
-                return StuckNormal(term, steps)
-            case Split(context, redex):
+    """Reduce a closed ground term for at most `budget` steps.
+
+    An eval/apply loop over closures.  The environment maps a name to a
+    `(term, env)` thunk, or to a float for a `let`-bound numeral; looking
+    one up costs no step.  Every contraction the rules count (beta, `fix`,
+    `ifz` and `let` of a numeral, an all-numeral primitive, `sample`)
+    first tests `steps == budget`.  A stuck state is handed to the spec.
+    """
+    if budget < 0:
+        raise ValueError("run needs budget >= 0")
+    steps = 0
+    draws: list[float] = []
+    results: list[float] = []
+    stack: list = []
+    env: dict = {}
+    term = t
+    while True:
+        # eval: descend to a numeral, pushing frames
+        cls = type(term)
+        if cls is Var:
+            bound = env.get(term.name, _UNBOUND)
+            if type(bound) is tuple:
+                term, env = bound
+                continue
+            if bound is _UNBOUND:
+                return _stuck(t, steps, draws, results)
+            value = bound
+        elif cls is Numeral:
+            value = term.value
+        elif cls is App:
+            stack.append((_ARG, term.arg, env))
+            term = term.fun
+            continue
+        elif cls is Prim:
+            stack.append((_PRIM, term, env, []))
+            term = term.args[0]
+            continue
+        elif cls is Abs:
+            if not stack or stack[-1][0] != _ARG:
+                return _stuck(t, steps, draws, results)
+            if steps == budget:
+                return Exhausted(budget)
+            steps += 1
+            _, arg, arg_env = stack.pop()
+            env = {**env, term.name: (arg, arg_env)}
+            term = term.body
+            continue
+        elif cls is Ifz:
+            stack.append((_IFZ, term, env))
+            term = term.scrutinee
+            continue
+        elif cls is Let:
+            stack.append((_LET, term, env))
+            term = term.bound
+            continue
+        elif cls is Fix:
+            if steps == budget:
+                return Exhausted(budget)
+            steps += 1
+            stack.append((_ARG, term, env))
+            term = term.body
+            continue
+        elif cls is _SampleTerm:
+            if steps == budget:
+                return Exhausted(budget)
+            steps += 1
+            value = rng.uniform()
+            draws.append(value)
+        else:  # an unexpanded macro: normal for the rules too
+            return _stuck(t, steps, draws, results)
+        # apply: hand the numeral to the frames until one resumes evaluation
+        while True:
+            if not stack:
+                return Value(value, steps)
+            frame = stack.pop()
+            kind = frame[0]
+            if kind == _PRIM:
+                values = frame[3]
+                values.append(value)
+                args = frame[1].args
+                if len(values) < len(args):
+                    stack.append(frame)
+                    term, env = args[len(values)], frame[2]
+                    break
                 if steps == budget:
                     return Exhausted(budget)
-                current = plug(context, contract(redex, rng, table))
-    return Exhausted(budget)  # pragma: no cover
+                steps += 1
+                value = Numeral(table.lookup(frame[1].op).fn(*values)).value
+                results.append(value)
+            elif kind == _IFZ:
+                if steps == budget:
+                    return Exhausted(budget)
+                steps += 1
+                node = frame[1]
+                term, env = (node.then if value == 0.0 else node.otherwise), frame[2]
+                break
+            elif kind == _LET:
+                if steps == budget:
+                    return Exhausted(budget)
+                steps += 1
+                node = frame[1]
+                term, env = node.body, {**frame[2], node.name: value}
+                break
+            else:  # a numeral applied to an argument
+                return _stuck(t, steps, draws, results)
+
+
+class _Replay:
+    """A run's draws and primitive results, served again in order."""
+
+    def __init__(self, draws: list[float], results: list[float]):
+        self.uniform = iter(draws).__next__
+        self._next_result = iter(results).__next__
+
+    def lookup(self, name: str) -> _Replay:
+        return self
+
+    def fn(self, *values: float) -> float:
+        return self._next_result()
+
+
+def _stuck(t: Term, steps: int, draws: list[float], results: list[float]) -> StuckNormal:
+    """The spec's stuck term: replay the machine's steps with `step`.
+
+    The replay reads the run's own draws and primitive results, so the
+    caller's stream and table see each call once.
+    """
+    replay = _Replay(draws, results)
+    for _ in range(steps):
+        t = step(t, replay, replay)
+    if isinstance(decompose(t), Split):
+        raise InvariantViolation(f"machine stuck after {steps} steps, spec is not: {t!r}")
+    return StuckNormal(t, steps)
 
 
 def collect_outcomes(t: Term, runs: int, budget: int, seed: int,
                      table: PrimitiveTable = DEFAULT_TABLE) -> list[Outcome]:
     """Independent reproducible runs; run i owns stream offset i * 2**40."""
+    if budget < 0:
+        raise ValueError("collect_outcomes needs budget >= 0")
     return [run(t, budget, RngStream.for_run(seed, i), table) for i in range(runs)]
 
 

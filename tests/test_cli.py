@@ -40,6 +40,17 @@ def test_run_summary_deterministic_via_env_seed():
     assert a.output == b.output
 
 
+def test_run_summary_counts_stuck_runs():
+    # a function of type real -> real is a normal form, but not a numeral
+    res = _run("run", "(fun x : real -> fun y : real -> x + y) sample", "--runs", "5")
+    assert res.exit_code == 0
+    summary = json.loads(res.output)
+    assert (summary["value_runs"], summary["exhausted_runs"], summary["stuck_runs"]) == (0, 0, 5)
+    res = _run("run", "#observe([2,3]) sample", "--runs", "3", "--budget", "20")
+    summary = json.loads(res.output)
+    assert (summary["exhausted_runs"], summary["stuck_runs"]) == (3, 0)
+
+
 def test_denote_default_reports_atoms():
     res = _run("denote", "3 + 2")
     data = json.loads(res.output)
@@ -132,6 +143,10 @@ def test_stdin_input():
     ["check", "#expectation(0) (fun x : real -> x) sample", "--intervals", "{0}"],
     ["denote", "#expectation(0) (fun x : real -> x) sample"],
     ["parse", "#expectation(0) (fun x : real -> x) sample"],
+    ["run", "3+2", "--budget", "-1"],
+    ["run", "3+2", "--runs", "0"],
+    ["run", "3+2", "--runs", "-2"],
+    ["check", "3+2", "--intervals", "{5}", "--runs", "200", "--budget", "-1"],
 ])
 def test_malformed_input_is_a_usage_error(args):
     res = _run(*args)

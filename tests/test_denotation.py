@@ -414,3 +414,10 @@ def test_closed_programs_are_subprobability():
     for src in sources:
         total = interpret(parse_term(src)).measure.total_mass()
         assert total <= 1.0 + 1e-6, src
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_fast_oscillating_chi_mass():
+    # 1 + cos(256 pi x) > 1.5 on a third of [0,1]; 804.247719318987 is 256 pi
+    src = "let x = sample in chi[(1.5,inf)](1 + cos(804.247719318987 * x))"
+    assert abs(_mass(src, IntervalSet.point(1.0)) - 1.0 / 3.0) < 1e-6

@@ -141,6 +141,11 @@ def test_run_floor_validated():
         AdequacyConfig(intervals=(FULL_LINE,), runs=50)
 
 
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError):
+        AdequacyConfig(intervals=(FULL_LINE,), budget=-1)
+
+
 def test_denotational_masses_uses_query_probes():
     # a fixpoint whose convergence is judged on the queried set itself
     term = parse("#observe([0,0.5]) sample").inlined_main()

@@ -83,3 +83,10 @@ def test_step_times_smooth():
 
     got = integrate_adaptive(f, 0.0, 1.0)
     assert abs(got - (1.0 - math.exp(-0.4))) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_periodic_integrand_is_not_taken_for_a_plateau():
+    # the five samples of the first panel all read 2.0, the true mean is 1
+    got = integrate_adaptive(lambda x: 1.0 + math.cos(8.0 * math.pi * x), 0.0, 1.0)
+    assert abs(got - 1.0) < 1e-6

@@ -1,7 +1,12 @@
-import pytest
+import dataclasses
 
-from ppcf.intervals import IntervalSet
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ppcf.intervals import IntervalSet, parse_interval_set
 from ppcf.parser import parse_term
+from ppcf.primitives import DEFAULT_TABLE, chi_name
 from ppcf.reduction import (
     Exhausted,
     InvariantViolation,
@@ -9,6 +14,8 @@ from ppcf.reduction import (
     Split,
     StuckNormal,
     Value,
+    collect_outcomes,
+    contract,
     decompose,
     estimate_mass,
     plug,
@@ -21,12 +28,14 @@ from ppcf.terms import (
     SAMPLE,
     Abs,
     App,
+    Arrow,
     Fix,
     Ifz,
     Let,
     Numeral,
     Prim,
     Var,
+    alpha_equal,
 )
 from ppcf.typecheck import typecheck
 
@@ -186,6 +195,13 @@ def test_run_stuck_normal_form():
     assert isinstance(out, StuckNormal)
 
 
+def test_run_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        run(parse_term("3 + 2"), -1, RngStream(0))
+    with pytest.raises(ValueError):
+        collect_outcomes(parse_term("3 + 2"), 0, -1, seed=0)
+
+
 def test_run_determinism():
     t = parse_term("#normal")
     a = run(t, 100, RngStream(5, 17))
@@ -250,3 +266,129 @@ def test_rng_streams_disjoint():
     a = RngStream.for_run(1, 0)
     b = RngStream.for_run(1, 1)
     assert [a.uniform() for _ in range(5)] != [b.uniform() for _ in range(5)]
+
+
+# -- the machine against the small-step rules -----------------------------------
+
+RR = Arrow(REAL, REAL)
+NAMES = ("x", "y", "f")  # few names, so binders shadow each other
+OPS = ("add", "sub", "mul", "div", "lt", "eq", "cos", "neg_log")
+CHIS = tuple(chi_name(parse_interval_set(s)) for s in ("[0,0.5]", "{0} + (1,inf)"))
+BUDGET = 150
+
+
+@st.composite
+def typed_terms(draw, ty=REAL, scope=(), depth=5):
+    """Well-typed terms of type `ty` (real or real -> real) over `scope`."""
+    ctx = dict(scope)  # a later binding shadows an earlier one
+    in_scope = sorted(n for n, t in ctx.items() if t == ty)
+
+    def sub(t=REAL, binds=()):
+        return draw(typed_terms(t, scope + binds, depth - 1))
+
+    def name():
+        return draw(st.sampled_from(NAMES))
+
+    leaf = depth <= 0 or draw(st.integers(0, 4)) == 0
+    if ty == RR:
+        kind = draw(st.sampled_from(("var", "abs") if leaf else ("abs", "fix", "app")))
+        if kind == "var" and in_scope:
+            return Var(draw(st.sampled_from(in_scope)))
+        if kind == "fix":  # fix (fun g : real -> real -> fun x : real -> ...)
+            g, x = name(), name()
+            return Fix(Abs(g, RR, Abs(x, REAL, sub(REAL, ((g, RR), (x, REAL))))))
+        if kind == "app":  # (fun g : real -> real -> ...) at real -> real
+            g = name()
+            return App(Abs(g, RR, sub(RR, ((g, RR),))), sub(RR))
+        x = name()
+        return Abs(x, REAL, sub(REAL, ((x, REAL),)))
+    if leaf:
+        kind = draw(st.sampled_from(("num", "sample", "var")))
+        if kind == "var" and in_scope:
+            return Var(draw(st.sampled_from(in_scope)))
+        if kind == "sample":
+            return SAMPLE
+        return Numeral(draw(st.sampled_from((0.0, 1.0, -2.5, 0.5))))
+    kind = draw(st.sampled_from(("prim", "chi", "ifz", "let", "app", "fix", "hof")))
+    if kind == "prim":
+        op = draw(st.sampled_from(OPS))
+        return Prim(op, tuple(sub() for _ in range(DEFAULT_TABLE.lookup(op).arity)))
+    if kind == "chi":
+        return Prim(draw(st.sampled_from(CHIS)), (sub(),))
+    if kind == "ifz":
+        return Ifz(sub(), sub(), sub())
+    if kind == "let":
+        x = name()
+        return Let(x, sub(), sub(REAL, ((x, REAL),)))
+    if kind == "app":
+        return App(sub(RR), sub())
+    if kind == "fix":
+        y = name()
+        return Fix(Abs(y, REAL, sub(REAL, ((y, REAL),))))
+    f = name()  # a higher-order redex: (fun f : real -> real -> ...) F
+    return App(Abs(f, RR, sub(REAL, ((f, RR),))), sub(RR))
+
+
+class RecordingTable:
+    """The default table, logging each primitive call with its bits."""
+
+    def __init__(self):
+        self.calls = []
+
+    def lookup(self, name):
+        prim = DEFAULT_TABLE.lookup(name)
+
+        def fn(*values):
+            self.calls.append((name, tuple(v.hex() for v in values)))
+            return prim.fn(*values)
+
+        return dataclasses.replace(prim, fn=fn)
+
+
+def _reference(t, budget, rng, table):
+    """The rules run literally; also (counter, calls) after each step."""
+    trail = [(rng.counter, len(table.calls))]
+    for steps in range(budget + 1):
+        d = decompose(t)
+        if isinstance(d, NormalForm):
+            return (Value(t.value, steps) if isinstance(t, Numeral)
+                    else StuckNormal(t, steps)), trail
+        if steps == budget:
+            return Exhausted(budget), trail
+        t = plug(d.context, contract(d.redex, rng, table))
+        trail.append((rng.counter, len(table.calls)))
+
+
+def _same(a, b):
+    if type(a) is not type(b) or a.steps != b.steps:
+        return False
+    if isinstance(a, Value):
+        return a.value.hex() == b.value.hex()
+    if isinstance(a, StuckNormal):  # renamed binders differ in their fresh suffix
+        return alpha_equal(a.term, b.term)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(typed_terms(REAL), typed_terms(RR)), st.integers(0, 2**32))
+@example(parse_term("#expectation(3) (fun x : real -> x) sample"), 1)
+@example(parse_term("#observe([0,0.3]) sample"), 2)
+@example(parse_term("(fun x : real -> fun y : real -> x + y) sample"), 3)
+@example(App(Abs("x", REAL, Var("z")), SAMPLE), 4)  # a free variable
+@example(App(Prim("add", (SAMPLE, Numeral(1.0))), SAMPLE), 5)  # a numeral applied
+@example(Let("x", Abs("y", REAL, Var("y")), Var("x")), 6)  # a function bound by let
+@example(Prim("add", (SAMPLE, Abs("y", REAL, Var("y")))), 7)  # a function as an argument
+@example(Ifz(Abs("y", REAL, Var("y")), SAMPLE, SAMPLE), 8)  # a function tested
+def test_machine_matches_the_rules(t, seed):
+    spec_table = RecordingTable()
+    want, trail = _reference(t, BUDGET, RngStream(seed, 7), spec_table)
+    for budget in (BUDGET, *range(want.steps + 1)):
+        if budget < want.steps:  # the rules stop after `budget` steps
+            expected, (counter, n_calls) = Exhausted(budget), trail[budget]
+        else:
+            expected, (counter, n_calls) = want, trail[-1]
+        rng, table = RngStream(seed, 7), RecordingTable()
+        got = run(t, budget, rng, table)
+        assert _same(got, expected), (budget, got, expected)
+        assert rng.counter == counter
+        assert table.calls == spec_table.calls[:n_calls]
