@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -42,7 +43,12 @@ def _input_errors():
 
 def _resolve_seed(seed: int) -> int:
     env = os.environ.get("PPCF_SEED")
-    return int(env) if env else seed
+    if not env:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise click.UsageError(f"PPCF_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_intervals(intervals: str | None, cdf: str | None,
@@ -212,6 +218,8 @@ def stability_cmd(target, fn_expr, n, grid, slack, fn_arity):
     """Check pre-stability of wpor, poly, identity, or an expression."""
     if (target is None) == (fn_expr is None):
         raise click.UsageError("give exactly one of a named TARGET or --fn EXPR")
+    if not (math.isfinite(slack) and slack >= 0.0):  # click.FloatRange lets NaN through
+        raise click.BadParameter(f"{slack!r} is not finite and >= 0", param_hint="'--slack'")
     if fn_expr is not None:
         fn = _point_fn_from_expr(fn_expr, fn_arity)
     elif target in GALLERY:

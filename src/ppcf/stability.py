@@ -7,15 +7,25 @@ enumerating grid points x and tuples of lattice increments u_1..u_m
     D-(x; u) <= D+(x; u) + slack
 
 where D+/- sum f over subsets of the increments with even/odd
-complement parity.  The equivalent recursive iterated-difference
-formulation is implemented independently; the two must agree to float
-accuracy, which is itself one of the checks the test suite runs.
+complement parity.  `delta_signed` is the specification of those sums;
+the equivalent recursive iterated-difference formulation
+(`iterated_delta`) is implemented independently, and the two must agree
+to float accuracy, which is itself one of the checks the test suite runs.
+
+`check_pre_stable` walks the lattice in integer indices: a depth-first
+walk over non-decreasing increment indices that prunes every branch
+whose sum on some axis passes the grid, so only tuples that fit in the
+cube are built, in `combinations_with_replacement` order.  It then sums
+D- and D+ in one pass per tuple, in `delta_signed`'s order of additions,
+and evaluates f once per distinct point of a report (f is pure).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,22 +146,52 @@ def iterated_delta(f: PointFn, x: Point, us) -> float:
     return go(tuple(x), us)
 
 
-def _lattice_points(k: int, grid: int):
-    axis = [i / grid for i in range(grid + 1)]
-    return [tuple(p) for p in itertools.product(axis, repeat=k)]
-
-
-def _lattice_increments(k: int, grid: int):
-    axis = [i / grid for i in range(grid + 1)]
-    return [u for u in itertools.product(axis, repeat=k) if any(c > 0.0 for c in u)]
-
-
 def _feasible(x: Point, us) -> bool:
     for axis in range(len(x)):
         total = x[axis] + sum(u[axis] for u in us)
         if total > 1.0:
             return False
     return True
+
+
+def _fitting_tuples(incs, fits, cap, length: int):
+    """Non-decreasing index tuples into `incs` whose sum stays within `cap`.
+
+    Yields in `combinations_with_replacement` order; `fits[c]` lists, in
+    ascending order, the increments that fit under the capacity vector c.
+    A coordinate whose integer sum with x reaches grid + 1 has a float
+    sum about 1/grid above 1, far beyond rounding, so no tuple the float
+    `_feasible` accepts is pruned here.
+    """
+    def walk(start, cap, prefix):
+        fit = fits[cap]
+        for j in fit[bisect_left(fit, start):]:
+            tup = prefix + (j,)
+            if len(tup) == length:
+                yield tup
+            else:
+                yield from walk(j, tuple(c - d for c, d in zip(cap, incs[j])), tup)
+
+    return walk(0, cap, ())
+
+
+def _signed_sums(f: PointFn, x: Point, us, memo: dict) -> tuple[float, float]:
+    """(D-, D+) of `delta_signed` in one pass, f memoised by point."""
+    _check_cube(f, x, us)
+    n = len(us)
+    d_minus = d_plus = 0.0
+    for size in range(n + 1):
+        odd = (n - size) % 2
+        for subset in itertools.combinations(range(n), size):
+            point = _offset(x, us, subset)
+            value = memo.get(point)
+            if value is None:
+                value = memo[point] = f(point)
+            if odd:
+                d_minus += value
+            else:
+                d_plus += value
+    return d_minus, d_plus
 
 
 _SUBSAMPLE_SEED = 20250810
@@ -168,24 +208,34 @@ def check_pre_stable(f: PointFn, n: int, grid: int = 8, slack: float = 1e-9) -> 
         raise ValueError("order n must be >= 0")
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    points = _lattice_points(f.k, grid)
-    increments = _lattice_increments(f.k, grid)
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise ValueError("slack must be finite and >= 0")
+    point_idx = list(itertools.product(range(grid + 1), repeat=f.k))
+    inc_idx = point_idx[1:]  # every index vector but the zero one
+    points = [tuple(i / grid for i in p) for p in point_idx]
+    increments = points[1:]
     exhaustive = f.k <= 2 and n <= 3
     violations = []
     checked = 0
+    memo: dict[Point, float] = {}
 
     def record(x, us):
         nonlocal checked
         checked += 1
-        d_minus = delta_signed(f, x, us, "-")
-        d_plus = delta_signed(f, x, us, "+")
+        d_minus, d_plus = _signed_sums(f, x, us, memo)
         if d_minus > d_plus + slack:
-            violations.append(Violation(x, tuple(us), d_minus, d_plus))
+            violations.append(Violation(x, us, d_minus, d_plus))
 
     if exhaustive:
+        fits = {
+            cap: [j for j, u in enumerate(inc_idx) if all(a <= c for a, c in zip(u, cap))]
+            for cap in point_idx
+        }
         for length in range(1, n + 2):
-            for x in points:
-                for us in itertools.combinations_with_replacement(increments, length):
+            for xi, x in zip(point_idx, points):
+                cap = tuple(grid - i for i in xi)
+                for js in _fitting_tuples(inc_idx, fits, cap, length):
+                    us = tuple(increments[j] for j in js)
                     if _feasible(x, us):
                         record(x, us)
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,9 @@ def test_stdin_input():
     ["stability", "wpor", "--grid", "1"],
     ["stability", "wpor", "--n", "-1"],
     ["stability", "--fn", "x1", "--fn-arity", "0"],
+    ["stability", "wpor", "--n", "1", "--grid", "4", "--slack", "nan"],
+    ["stability", "wpor", "--n", "1", "--grid", "4", "--slack", "inf"],
+    ["stability", "wpor", "--n", "1", "--grid", "4", "--slack", "-1"],
     ["check", "3+2", "--intervals", "{5}", "--runs", "0"],
     ["check", "3+2", "--intervals", "{5}", "--delta", "2"],
     ["run", "#expectation(0) (fun x : real -> x) sample"],
@@ -154,6 +158,17 @@ def test_malformed_input_is_a_usage_error(args):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "sample"],
+    ["check", "3+2", "--intervals", "{5}", "--runs", "200"],
+])
+def test_malformed_env_seed_is_a_usage_error(args):
+    res = _run(*args, env={"PPCF_SEED": "abc"})
+    assert res.exit_code == 2, res.output
+    assert "PPCF_SEED" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("expr", [
     "x1 + sample",
     "(fun y : real -> y) x1",
@@ -163,3 +178,33 @@ def test_stability_rejects_nondeterministic_expressions(expr):
     res = _run("stability", "--fn", expr)
     assert res.exit_code == 2, res.output
     assert "deterministic" in res.output
+
+
+# Pinned `ppcf stability` reports: a change to the enumeration or the
+# difference sums must keep these bytes, violations and their order included.
+_BILINEAR = "0.5 * x1 + 0.25 * x2 {} 0.75 * x1 * x2"
+_GOLDEN_STABILITY = [
+    (["wpor", "--n", "1", "--grid", "7"], 1,
+     "70f0a2bf5206f0b8f9b71422442de8c4b148ef24e5bba553b5944db1bb7f2bdd"),
+    (["wpor", "--n", "2", "--grid", "5"], 1,
+     "ca9043d3bd1eed422a5239674dba516aa35dd3a88aae1453f18857a848d0705f"),
+    (["--fn", _BILINEAR.format("+"), "--fn-arity", "2", "--n", "1", "--grid", "5"], 0,
+     "7fc1f03f6ebb84d350fce2e8f1662f762edcd6b8cf497042baa413d24839d976"),
+    (["--fn", _BILINEAR.format("-"), "--fn-arity", "2", "--n", "1", "--grid", "5"], 1,
+     "fbcab7194d5f1bea26b2106ae74767c0e161160bd2578b68c410ceee21d5e45c"),
+    (["poly", "--n", "2", "--grid", "8"], 0,
+     "c2b6afe3f0c86784e5a71f4f3877cb75ed1ffecbe01450d1bfca451dc518bde6"),
+    # the subsample path: n > 3, and k > 2
+    (["identity", "--n", "4", "--grid", "8"], 0,
+     "2ee41b35d1b91111c58f0abfdc8b79f10e9beb497fc31eeee28ec1e4e593f872"),
+    (["--fn", "x1 + x2 + x3 - x1 * x2 * x3", "--fn-arity", "3", "--n", "1", "--grid", "4"], 1,
+     "fb1127d07409d9d7baf03291c7f16df7f124a87822f33f3b4df6566069dc67ea"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", _GOLDEN_STABILITY,
+                         ids=[" ".join(args) for args, _, _ in _GOLDEN_STABILITY])
+def test_stability_report_is_byte_identical_to_golden(args, code, digest):
+    res = _run("stability", *args)
+    assert res.exit_code == code
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest

@@ -1,10 +1,15 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppcf.stability import (
     DomainError,
     PointFn,
+    _feasible,
     check_pre_stable,
     delta_signed,
     identity_fn,
@@ -203,8 +208,96 @@ def test_grid_and_order_validation():
         check_pre_stable(W, n=-1)
     with pytest.raises(ValueError):
         check_pre_stable(W, n=1, grid=1)
+    for slack in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError):
+            check_pre_stable(W, n=1, grid=4, slack=slack)
 
 
 def test_poly_rejects_negative_coefficients():
     with pytest.raises(ValueError):
         poly_fn((0.5, -0.1))
+
+
+# -- the pruned enumeration against the definition -----------------------------
+
+
+def _reference_check(f, n, grid, slack=1e-9):
+    """Every feasible tuple of combinations_with_replacement, two delta_signed each."""
+    axis = [i / grid for i in range(grid + 1)]
+    points = list(itertools.product(axis, repeat=f.k))
+    increments = [u for u in points if any(c > 0.0 for c in u)]
+    checked, violations = 0, []
+    for length in range(1, n + 2):
+        for x in points:
+            for us in itertools.combinations_with_replacement(increments, length):
+                if not _feasible(x, us):
+                    continue
+                checked += 1
+                d_minus = delta_signed(f, x, us, "-")
+                d_plus = delta_signed(f, x, us, "+")
+                if d_minus > d_plus + slack:
+                    violations.append((x, us, d_minus, d_plus))
+    return checked, violations
+
+
+def _hex_violation(x, us, d_minus, d_plus):
+    return (
+        tuple(c.hex() for c in x),
+        tuple(tuple(c.hex() for c in u) for u in us),
+        d_minus.hex(),
+        d_plus.hex(),
+    )
+
+
+def _assert_matches_reference(f, n, grid):
+    report = check_pre_stable(f, n, grid)
+    checked, violations = _reference_check(f, n, grid)
+    assert report.exhaustive
+    assert report.checked == checked
+    got = [_hex_violation(v.x, v.increments, v.delta_minus, v.delta_plus)
+           for v in report.violations]
+    assert got == [_hex_violation(*v) for v in violations]
+
+
+# x - x^3 is increasing at order 0 but concave, so higher orders fail
+_CONCAVE = PointFn(1, lambda x: x - x * x * x, "x-x^3")
+
+
+@pytest.mark.parametrize("f", [_CONCAVE, W], ids=["k1", "k2"])
+@pytest.mark.parametrize("n", range(4))
+def test_exhaustive_loop_matches_definition(f, n):
+    top = 5 if (f.k, n) == (2, 3) else 8
+    for grid in range(2, top + 1):
+        _assert_matches_reference(f, n, grid)
+
+
+_COEFF = st.sampled_from((-1.0, -0.5, -0.25, 0.0, 0.125, 0.3, 0.5, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(("poly", "bilinear")),
+    coeffs=st.lists(_COEFF, min_size=4, max_size=4),
+    n=st.integers(0, 2),
+    grid=st.integers(2, 5),
+)
+def test_exhaustive_loop_matches_definition_on_random_functions(shape, coeffs, n, grid):
+    a, b, c, d = coeffs
+    if shape == "poly":
+        f = PointFn(1, lambda x: ((d * x + c) * x + b) * x + a, "poly")
+    else:
+        f = PointFn(2, lambda x1, x2: a * x1 + b * x2 + c * x1 * x2, "bilinear")
+    _assert_matches_reference(f, n, grid)
+
+
+@pytest.mark.parametrize("k,n,grid", [(1, 3, 8), (2, 2, 6), (2, 4, 4), (3, 1, 4)])
+def test_each_point_is_evaluated_once_per_report(k, n, grid):
+    calls = Counter()
+
+    def evaluate(*x):
+        calls[x] += 1
+        return sum(x) - 0.5 * x[0] * x[-1]
+
+    report = check_pre_stable(PointFn(k, evaluate, "counted"), n, grid)
+    assert report.checked > 0
+    assert set(calls.values()) == {1}
