@@ -63,7 +63,7 @@ from .stability import (
     poly_fn,
     wpor,
 )
-from .sugar import ArityError, UnknownMacro, expand_sugar
+from .sugar import ArityError, UnknownMacro
 from .terms import (
     REAL,
     SAMPLE,
@@ -73,7 +73,6 @@ from .terms import (
     Fix,
     Ifz,
     Let,
-    MacroCall,
     Numeral,
     Prim,
     Term,

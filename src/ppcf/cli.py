@@ -51,8 +51,7 @@ def _resolve_seed(seed: int) -> int:
         raise click.UsageError(f"PPCF_SEED must be an integer, got {env!r}") from None
 
 
-def _parse_intervals(intervals: str | None, cdf: str | None,
-                     default=None) -> tuple[IntervalSet, ...]:
+def _parse_intervals(intervals: str | None, cdf: str | None) -> tuple[IntervalSet, ...]:
     if intervals and cdf:
         raise click.UsageError("choose one of --intervals and --cdf")
     if intervals:
@@ -66,8 +65,6 @@ def _parse_intervals(intervals: str | None, cdf: str | None,
             return cdf_grid(float(lo), float(hi), int(steps))
         except ValueError as exc:
             raise click.UsageError(f"bad --cdf spec {cdf!r}: {exc}") from None
-    if default is not None:
-        return default
     raise click.UsageError("need --intervals or --cdf")
 
 

@@ -42,7 +42,6 @@ from .terms import (
     Fix,
     Ifz,
     Let,
-    MacroCall,
     Numeral,
     Prim,
     Term,
@@ -193,8 +192,6 @@ def interpret(
                 if solved is not None:
                     return solved
             return fixpoint(fun, fix)
-        case MacroCall():
-            raise ValueError("interpret on unexpanded macro; expand sugar first")
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -171,27 +171,32 @@ class IntervalSet:
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other.complement())
 
+    def _image(self, f, increasing: bool) -> "IntervalSet":
+        """Image under a monotone map; an endpoint that overflows is opened."""
+        if increasing:
+            return IntervalSet(
+                [_piece(f(p.lo), f(p.hi), p.lo_closed, p.hi_closed) for p in self.pieces]
+            )
+        return IntervalSet(
+            [_piece(f(p.hi), f(p.lo), p.hi_closed, p.lo_closed) for p in self.pieces]
+        )
+
     def shift(self, delta: float) -> "IntervalSet":
         if delta == 0.0:
             return self
-        return IntervalSet(
-            [Interval(p.lo + delta, p.hi + delta, p.lo_closed, p.hi_closed)
-             for p in self.pieces]
-        )
+        return self._image(lambda x: x + delta, True)
 
     def scale(self, c: float) -> "IntervalSet":
         """Image of the set under x -> c*x (c must be nonzero)."""
         if c == 0.0:
             raise ValueError("cannot scale an interval set by zero")
-        if c > 0:
-            return IntervalSet(
-                [Interval(p.lo * c, p.hi * c, p.lo_closed, p.hi_closed)
-                 for p in self.pieces]
-            )
-        return IntervalSet(
-            [Interval(p.hi * c, p.lo * c, p.hi_closed, p.lo_closed)
-             for p in self.pieces]
-        )
+        return self._image(lambda x: x * c, c > 0)
+
+    def divide(self, c: float) -> "IntervalSet":
+        """Image of the set under x -> x/c (c must be nonzero)."""
+        if c == 0.0:
+            raise ValueError("cannot divide an interval set by zero")
+        return self._image(lambda x: x / c, c > 0)
 
     def negate(self) -> "IntervalSet":
         return self.scale(-1.0)

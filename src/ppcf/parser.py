@@ -15,22 +15,28 @@ Grammar sketch::
               | "chi" "[" iset "]" "(" expr ")"
               | PRIM "(" expr ("," expr)* ")"
               | "#" MACRO ["(" macro-args ")"]
+    iset     := piece (("+" | "∪") piece)*               -- or "{}", the empty set
+    piece    := ("[" | "(") ENDPOINT "," ENDPOINT ("]" | ")") | "{" ENDPOINT "}"
     tyatom   := "real" | "(" type ")"
     type     := tyatom ("->" type)?
 
 Comments run from ``--`` to end of line.  Macro argument slots are typed
 by the macro's signature (term, interval set, or integer), so interval
-literals like ``[0,0.5]`` never clash with expression commas.
+literals like ``[0,0.5]`` never clash with expression commas.  An
+``iset`` literal's extent is found from its bracket tokens and its exact
+source text is read by ``intervals.parse_interval_set``, the grammar of
+``--intervals``: an ENDPOINT is ``inf``, ``+inf``, ``infinity`` (either
+sign) or a number as Python's ``float`` reads it.  A macro expands where it is
+read, so the parser returns core terms only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .intervals import EMPTY, Interval, IntervalSet, _piece
+from .intervals import IntervalSet, parse_interval_set
 from .primitives import CHI_PREFIX, DEFAULT_TABLE, PrimitiveTable, chi_name
-from .sugar import MACRO_SIGNATURES, ArityError, expand_macro, expand_sugar
+from .sugar import MACRO_SIGNATURES, ArityError, expand_macro
 from .terms import (
     REAL,
     SAMPLE,
@@ -40,7 +46,6 @@ from .terms import (
     Fix,
     Ifz,
     Let,
-    MacroCall,
     Numeral,
     Prim,
     Term,
@@ -72,6 +77,7 @@ class Token:
     text: str
     line: int
     col: int
+    pos: int  # offset of the first character in the source text
 
 
 def tokenize(text: str) -> list[Token]:
@@ -109,7 +115,7 @@ def tokenize(text: str) -> list[Token]:
                     j = k
                     while j < n and text[j].isdigit():
                         j += 1
-            tokens.append(Token("number", text[i:j], line, col))
+            tokens.append(Token("number", text[i:j], line, col, i))
             col += j - i
             i = j
             continue
@@ -124,19 +130,19 @@ def tokenize(text: str) -> list[Token]:
                     j += 1
             word = text[i:j]
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
+            tokens.append(Token(kind, word, line, col, i))
             col += j - i
             i = j
             continue
         for sym in _SYMBOLS:
             if text.startswith(sym, i):
-                tokens.append(Token("symbol", sym, line, col))
+                tokens.append(Token("symbol", sym, line, col, i))
                 col += len(sym)
                 i += len(sym)
                 break
         else:
             raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, col, n))
     return tokens
 
 
@@ -155,8 +161,9 @@ class SourceProgram:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], table: PrimitiveTable):
-        self.tokens = tokens
+    def __init__(self, text: str, table: PrimitiveTable):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.table = table
 
@@ -184,7 +191,7 @@ class _Parser:
 
     # -- entrypoints -----------------------------------------------------
 
-    def program(self, text: str) -> SourceProgram:
+    def program(self) -> SourceProgram:
         defs = []
         seen = set()
         while self.at("def"):
@@ -196,12 +203,12 @@ class _Parser:
             self.expect("=")
             body = self.expr()
             self.expect(";")
-            defs.append((name, expand_sugar(body)))
-        main = expand_sugar(self.expr())
+            defs.append((name, body))
+        main = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             self.fail(f"unexpected trailing input {tok.text!r}")
-        return SourceProgram(text, tuple(defs), main)
+        return SourceProgram(self.text, tuple(defs), main)
 
     def binder_name(self) -> str:
         tok = self.peek()
@@ -382,72 +389,41 @@ class _Parser:
                     args.append(self.interval_set())
                 elif kind == "int":
                     num = self.peek()
-                    if num.kind != "number" or "." in num.text or "e" in num.text:
+                    if num.kind != "number" or not num.text.isdigit():
                         self.fail("expected an integer literal")
                     self.advance()
                     args.append(int(num.text))
             self.expect(")")
         try:  # the builder checks argument values, e.g. #expectation(0)
-            expand_macro(name, tuple(args))
+            return expand_macro(name, tuple(args))
         except ArityError as exc:
             raise ParseError(str(exc), hash_tok.line, hash_tok.col) from None
-        return MacroCall(name, tuple(args))
-
-    # -- interval-set literals --------------------------------------------
-
-    def signed_endpoint(self) -> float:
-        neg = False
-        if self.at("-"):
-            self.advance()
-            neg = True
-        tok = self.peek()
-        if tok.text == "inf":
-            self.advance()
-            v = math.inf
-        elif tok.kind == "number":
-            self.advance()
-            v = float(tok.text)
-        else:
-            self.fail("expected a numeric endpoint", {"<number>", "inf"})
-        return -v if neg else v
 
     def interval_set(self) -> IntervalSet:
-        if self.at("{") and self.tokens[self.pos + 1].text == "}":
+        """An `iset` literal: its bracket tokens mark its extent in the source."""
+        first = self.peek()
+        while True:
+            opener = self.peek()
+            if opener.text not in ("[", "(", "{"):
+                self.fail("expected an interval piece", {"[", "(", "{"})
+            closers = ("}",) if opener.text == "{" else ("]", ")")
             self.advance()
+            while self.peek().text not in closers:
+                if self.peek().kind == "eof":
+                    self.fail(f"expected {' or '.join(map(repr, closers))}", closers)
+                self.advance()
+            last = self.advance()
+            if not (self.at("+") or self.at("∪")):
+                break
             self.advance()
-            return EMPTY  # the whole literal "{}", as format_interval_set writes it
-        pieces = [self.interval_piece()]
-        while self.at("∪") or self.at("+"):
-            self.advance()
-            pieces.append(self.interval_piece())
-        return IntervalSet(pieces)
-
-    def interval_piece(self) -> Interval:
-        tok = self.peek()
-        if tok.text == "{":
-            self.advance()
-            x = self.signed_endpoint()
-            self.expect("}")
-            return Interval(x, x, True, True)
-        if tok.text in ("[", "("):
-            lo_closed = tok.text == "["
-            self.advance()
-            lo = self.signed_endpoint()
-            self.expect(",")
-            hi = self.signed_endpoint()
-            close = self.peek()
-            if close.text not in ("]", ")"):
-                self.fail("expected ']' or ')'", {"]", ")"})
-            self.advance()
-            p = _piece(lo, hi, lo_closed, close.text == "]")
-            if p is None:
-                self.fail("interval piece denotes the empty set")
-            return p
-        self.fail("expected an interval piece", {"[", "(", "{"})
+        try:
+            return parse_interval_set(self.text[first.pos:last.pos + len(last.text)])
+        except ValueError as exc:
+            raise ParseError(str(exc), first.line, first.col) from None
 
 
 def parse(text: str, table: PrimitiveTable = DEFAULT_TABLE) -> SourceProgram:
-    return _Parser(tokenize(text), table).program(text)
+    return _Parser(text, table).program()
 
 
 def parse_term(text: str, table: PrimitiveTable = DEFAULT_TABLE) -> Term:

@@ -140,7 +140,10 @@ def _pre_mul(i, fixed, target):
     c = fixed[1 - i]
     if c == 0.0:
         return FULL_LINE if target.contains(0.0) else EMPTY
-    return target.scale(1.0 / c)
+    inv = 1.0 / c
+    if math.isinf(inv):  # subnormal c: scaling by inf would make 0 * inf a NaN
+        return target.divide(c)
+    return target.scale(inv)
 
 
 def _pre_div(i, fixed, target):

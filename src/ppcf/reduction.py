@@ -266,14 +266,12 @@ def run(t: Term, budget: int, rng: RngStream, table: PrimitiveTable = DEFAULT_TA
             stack.append((_ARG, term, env))
             term = term.body
             continue
-        elif cls is _SampleTerm:
+        else:  # sample
             if steps == budget:
                 return Exhausted(budget)
             steps += 1
             value = rng.uniform()
             draws.append(value)
-        else:  # an unexpanded macro: normal for the rules too
-            return _stuck(t, steps, draws, results)
         # apply: hand the numeral to the frames until one resumes evaluation
         while True:
             if not stack:

@@ -14,10 +14,11 @@ to float accuracy, which is itself one of the checks the test suite runs.
 
 `check_pre_stable` walks the lattice in integer indices: a depth-first
 walk over non-decreasing increment indices that prunes every branch
-whose sum on some axis passes the grid, so only tuples that fit in the
-cube are built, in `combinations_with_replacement` order.  It then sums
-D- and D+ in one pass per tuple, in `delta_signed`'s order of additions,
-and evaluates f once per distinct point of a report (f is pure).
+whose integer sum on some axis passes the grid, so exactly the tuples
+that fit in the cube are built, in `combinations_with_replacement`
+order.  It then sums D- and D+ in one pass per tuple, in
+`delta_signed`'s order of additions, and evaluates f once per distinct
+point of a report (f is pure).
 """
 
 from __future__ import annotations
@@ -159,9 +160,8 @@ def _fitting_tuples(incs, fits, cap, length: int):
 
     Yields in `combinations_with_replacement` order; `fits[c]` lists, in
     ascending order, the increments that fit under the capacity vector c.
-    A coordinate whose integer sum with x reaches grid + 1 has a float
-    sum about 1/grid above 1, far beyond rounding, so no tuple the float
-    `_feasible` accepts is pruned here.
+    The test is exact in lattice units, so a tuple whose float sum rounds
+    just above 1 still fits (`_offset` clamps its points to the lid).
     """
     def walk(start, cap, prefix):
         fit = fits[cap]
@@ -235,9 +235,7 @@ def check_pre_stable(f: PointFn, n: int, grid: int = 8, slack: float = 1e-9) -> 
             for xi, x in zip(point_idx, points):
                 cap = tuple(grid - i for i in xi)
                 for js in _fitting_tuples(inc_idx, fits, cap, length):
-                    us = tuple(increments[j] for j in js)
-                    if _feasible(x, us):
-                        record(x, us)
+                    record(x, tuple(increments[j] for j in js))
     else:
         rng = random.Random(_SUBSAMPLE_SEED)
         attempts = 0

@@ -1,7 +1,7 @@
 """Macro layer: the standard combinators definable from the core syntax.
 
-Macros arrive from the parser as MacroCall nodes (``#name(...)`` in
-source) and are rewritten into core terms here.  The branching macro
+The parser expands each ``#name(...)`` call through ``expand_macro`` as
+it reads it, so nothing past the parser sees a macro.  The branching macro
 ``ifU`` is supported at ground type, which is all the bundled
 combinators need; its test is *inverted* in the expansion because the
 core conditional tests for zero.
@@ -22,7 +22,6 @@ from .terms import (
     Fix,
     Ifz,
     Let,
-    MacroCall,
     Numeral,
     Prim,
     Term,
@@ -118,27 +117,3 @@ def expand_macro(name: str, args: tuple) -> Term:
         else:
             raise ArityError(f"macro #{name}: bad argument {a!r} for slot {kind}")
     return builder(*checked)
-
-
-def expand_sugar(t: Term) -> Term:
-    """Rewrite every MacroCall in t into core syntax."""
-    match t:
-        case MacroCall(macro, args):
-            expanded_args = tuple(
-                expand_sugar(a) if isinstance(a, Term) else a for a in args
-            )
-            return expand_macro(macro, expanded_args)
-        case Abs(name, annot, body):
-            return Abs(name, annot, expand_sugar(body))
-        case App(fun, arg):
-            return App(expand_sugar(fun), expand_sugar(arg))
-        case Fix(body):
-            return Fix(expand_sugar(body))
-        case Prim(op, args):
-            return Prim(op, tuple(expand_sugar(a) for a in args))
-        case Ifz(scrutinee, then, otherwise):
-            return Ifz(expand_sugar(scrutinee), expand_sugar(then), expand_sugar(otherwise))
-        case Let(name, bound, body):
-            return Let(name, expand_sugar(bound), expand_sugar(body))
-        case _:
-            return t

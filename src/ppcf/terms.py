@@ -125,17 +125,6 @@ class Let(Term):
     body: Term
 
 
-@dataclass(frozen=True)
-class MacroCall(Term):
-    """Surface-only node; removed by sugar expansion before anything else."""
-
-    macro: str
-    args: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
-
 # -- free variables / substitution -----------------------------------------
 
 _fresh_counter = itertools.count()
@@ -167,12 +156,6 @@ def free_vars(t: Term) -> frozenset[str]:
             return free_vars(scrutinee) | free_vars(then) | free_vars(otherwise)
         case Let(name, bound, body):
             return free_vars(bound) | (free_vars(body) - {name})
-        case MacroCall(_, args):
-            out = frozenset()
-            for a in args:
-                if isinstance(a, Term):
-                    out |= free_vars(a)
-            return out
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -211,8 +194,6 @@ def substitute(t: Term, x: str, s: Term) -> Term:
                     body = substitute(body, name, Var(renamed))
                     return Let(renamed, new_bound, go(body))
                 return Let(name, new_bound, go(body))
-            case MacroCall():
-                raise ValueError("substitute on unexpanded macro; expand sugar first")
         raise TypeError(f"not a term: {t!r}")
 
     return go(t)

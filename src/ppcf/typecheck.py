@@ -11,7 +11,6 @@ from .terms import (
     Fix,
     Ifz,
     Let,
-    MacroCall,
     Numeral,
     Prim,
     Term,
@@ -81,6 +80,4 @@ def typecheck(ctx: dict[str, Type], t: Term, table: PrimitiveTable = DEFAULT_TAB
             if typecheck({**ctx, name: REAL}, body, table) != REAL:
                 raise TypeCheckError("let body must have ground type", body)
             return REAL
-        case MacroCall():
-            raise TypeCheckError("macro not expanded before typechecking", t)
     raise TypeCheckError(f"not a term: {t!r}", t)

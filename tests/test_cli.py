@@ -72,6 +72,26 @@ def test_denote_intervals_spec():
     assert [d["mass"] for d in data] == [0.7, 0.3]
 
 
+# masses whose preimages overflow an endpoint: a subnormal outer value of
+# the quadrature in x * y, and exp saturating to MAXREAL in a shift or scale
+_OVERFLOWING_PREIMAGES = [
+    ("sample * sample", "(-inf,0]", 0.0),
+    ("sample * sample", "(0,0.5]", 0.8465735902799846),
+    ("exp(1000 * sample) + sample", "[-1e308,1e308]", 0.7091962086421659),
+    ("sample * exp(1000 * sample)", "[0,1e308]", 0.8710786648849256),
+]
+
+
+@pytest.mark.parametrize("source,spec,mass", _OVERFLOWING_PREIMAGES)
+def test_preimage_endpoint_overflow(source, spec, mass):
+    res = _run("denote", source, "--intervals", spec)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)[0]["mass"] == mass
+    res = _run("check", source, "--intervals", spec, "--runs", "2000", "--seed", "1")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["queries"][0]["denotational_mass"] == mass
+
+
 def test_check_exit_codes():
     ok = _run("check", "3 + 2", "--intervals", "{5}", "--runs", "200")
     assert ok.exit_code == 0

@@ -78,6 +78,37 @@ def test_shift_scale_negate():
     assert s.negate() == s.scale(-1.0)
 
 
+def test_shift_and_scale_open_an_overflowing_endpoint():
+    big = parse_interval_set("[-1e308,1e308]")
+    assert big.shift(1e308) == IntervalSet.interval(0.0, math.inf, True, False)
+    assert big.scale(10.0) == FULL_LINE
+    assert big.scale(-10.0) == FULL_LINE
+    assert parse_interval_set("[0,1e308]").scale(-10.0) == parse_interval_set("(-inf,0]")
+    assert parse_interval_set("{1e308} + [0,1]").shift(1e308) == parse_interval_set("{1e308}")
+
+
+def test_divide_by_a_subnormal():
+    tiny = 5e-324  # 1 / tiny overflows to inf
+    assert parse_interval_set("(-inf,0]").divide(tiny) == parse_interval_set("(-inf,0]")
+    assert parse_interval_set("(0,0.5]").divide(tiny) == parse_interval_set("(0,inf)")
+    assert parse_interval_set("(0,0.5]").divide(-tiny) == parse_interval_set("(-inf,0)")
+    assert parse_interval_set("[1,2)").divide(4.0) == parse_interval_set("[0.25,0.5)")
+    with pytest.raises(ValueError):
+        parse_interval_set("[1,2)").divide(0.0)
+
+
+def test_mul_preimage_at_a_subnormal_factor():
+    pre = DEFAULT_TABLE.lookup("mul").preimage
+    tiny = 5e-324
+    for target in ("(-inf,0]", "(0,0.5]", "[-1,1]"):
+        u = parse_interval_set(target)
+        assert pre(0, [None, tiny], u) == u.divide(tiny)
+        assert pre(1, [-tiny, None], u) == u.divide(-tiny)
+    # a normal factor keeps the multiplication by its reciprocal
+    u = parse_interval_set("(-inf,0.3]")
+    assert pre(0, [None, 0.7], u) == u.scale(1.0 / 0.7)
+
+
 def test_parse_format_roundtrip():
     for text in ("[0,0.5)", "{1}", "(-inf,0] + {1} + [2,3)", "(0,inf)", "[0,1e+20]",
                  "(0,+inf)", "{}"):

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppcf.intervals import parse_interval_set
+from ppcf.intervals import IntervalSet, format_interval_set, parse_interval_set
 from ppcf.parser import ParseError, format_type, parse, parse_term, pretty
 from ppcf.primitives import chi_name
+from ppcf.sugar import expand_macro
 from ppcf.terms import (
     REAL,
     SAMPLE,
@@ -119,6 +120,38 @@ def test_macro_parses():
     assert t.arg is SAMPLE
 
 
+def test_nested_macros_expand_as_they_are_read():
+    u = parse_interval_set("[0,0.5]")
+    t = parse_term("#observe([0,0.5]) #exponential")
+    assert t == App(expand_macro("observe", (u,)), expand_macro("exponential", ()))
+
+
+def test_integer_slot_rejects_an_exponent():
+    for src in ("#expectation(1E5) sample", "#expectation(1e5) sample",
+                "#expectation(2.0) sample"):
+        with pytest.raises(ParseError, match="integer"):
+            parse_term(src)
+
+
+@pytest.mark.parametrize("literal", ["[0,+inf)", "[0,infinity)", "[0,inf)", "[0,Infinity)"])
+def test_chi_literal_spells_endpoints_as_the_cli_does(literal):
+    assert parse_term(f"chi[{literal}](x)").op == chi_name(parse_interval_set("[0,inf)"))
+
+
+@pytest.mark.parametrize("src,col", [
+    ("chi[[- 1,0]](x)", 5),          # no space inside a signed endpoint
+    ("chi[[0,1 000]](x)", 5),        # nor inside a number
+    ("chi[[0, 1 -- one\n]](x)", 5),  # nor a comment inside the literal
+    ("chi[[1,0]](x)", 5),
+    ("chi[{-inf}](x)", 5),
+    ("#observe(\n [0,1) + (2,nan]) sample", 2),
+])
+def test_bad_interval_literal_is_a_parse_error_at_the_literal(src, col):
+    with pytest.raises(ParseError) as err:
+        parse_term(src)
+    assert err.value.col == col
+
+
 def test_macro_argument_rejected_by_builder_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_term("1 +\n  #expectation(0) (fun x : real -> x) sample")
@@ -198,6 +231,22 @@ def _terms(depth):
         st.builds(Ifz, sub, sub, sub),
         st.builds(Let, _names, sub, sub),
     )
+
+
+_endpoints = st.floats(allow_nan=False)
+_drawn_sets = st.lists(
+    st.one_of(
+        st.builds(IntervalSet.interval, _endpoints, _endpoints, st.booleans(), st.booleans()),
+        st.builds(IntervalSet.point, st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    max_size=4,
+).map(lambda sets: IntervalSet([p for s in sets for p in s.pieces]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_chi_sets, _drawn_sets))
+def test_chi_literal_reads_the_interval_set_format(s):
+    assert parse_term(f"chi[{format_interval_set(s)}](x)").op == chi_name(s)
 
 
 @settings(max_examples=300, deadline=None)

@@ -290,6 +290,14 @@ def test_exhaustive_loop_matches_definition_on_random_functions(shape, coeffs, n
     _assert_matches_reference(f, n, grid)
 
 
+def test_exhaustive_loop_keeps_tuples_that_fit_exactly():
+    # at grid 10, x + sum(us) rounds above 1 for 325 of these tuples
+    # although their lattice indices sum to exactly the grid
+    report = check_pre_stable(W, 2, 10)
+    assert report.exhaustive
+    assert report.checked == 180065
+
+
 @pytest.mark.parametrize("k,n,grid", [(1, 3, 8), (2, 2, 6), (2, 4, 4), (3, 1, 4)])
 def test_each_point_is_evaluated_once_per_report(k, n, grid):
     calls = Counter()

@@ -4,7 +4,7 @@ import pytest
 
 from ppcf.intervals import IntervalSet
 from ppcf.primitives import chi_name
-from ppcf.sugar import ArityError, UnknownMacro, expand_macro, expand_sugar
+from ppcf.sugar import ArityError, UnknownMacro, expand_macro
 from ppcf.terms import (
     REAL,
     SAMPLE,
@@ -14,7 +14,6 @@ from ppcf.terms import (
     Fix,
     Ifz,
     Let,
-    MacroCall,
     Numeral,
     Prim,
     Var,
@@ -198,10 +197,3 @@ def test_expanded_macros_typecheck():
     assert typecheck({}, expand_macro("expectation", (2,))) == Arrow(
         Arrow(REAL, REAL), Arrow(REAL, REAL)
     )
-
-
-def test_expand_sugar_recurses():
-    t = App(MacroCall("bernoulli", ()), Numeral(0.25))
-    out = expand_sugar(t)
-    assert isinstance(out, App)
-    assert typecheck({}, out) == REAL
