@@ -26,9 +26,12 @@ def _load_program(source: str) -> SourceProgram:
     """Treat the argument as a path if one exists, else as inline source."""
     if source == "-":
         return parse(sys.stdin.read())
-    path = Path(source)
-    if path.exists():
-        return parse(path.read_text(encoding="utf-8"))
+    try:
+        is_file = Path(source).exists()
+    except OSError:  # e.g. a source longer than a file name may be
+        is_file = False
+    if is_file:
+        return parse(Path(source).read_text(encoding="utf-8"))
     return parse(source)
 
 

@@ -4,6 +4,19 @@ Ground-type meanings are measures; arrow-type meanings are host
 closures mapping semantic values to semantic values.  The only
 observables are ground masses, so function values are never compared.
 
+A ``let`` whose body compiles to a float function (``compile_deterministic``)
+denotes the pushforward of its bound measure along the body.  Up to three
+independent lets, ``let x = M in let y = N in P`` with ``x`` not free in
+``N``, fuse into one pushforward of the product of their bound measures
+along ``P``: the commutativity of the measure semantics.  The body is
+also inverted: where an input is used once, through a chain of
+primitives with preimages, a mass query pulls the set back through the
+chain to an interval set of that input.  The other arguments along the
+chain are evaluated at the outer inputs' values, and a forward pass of
+interval ranges, from the hull of the bound measure's support, gives
+``cos`` the range it splits into monotone pieces.  Any other body falls
+back to quadrature.
+
 A ground ``fix (fun y : real -> M)`` whose ``y`` occurs in ``M`` only in
 tail position (``M`` itself, an ``ifz`` branch, a ``let`` body) is solved
 in closed form.  Its functional is affine, ``F(nu) = A + q*nu`` with
@@ -21,6 +34,7 @@ iteration for every spine of arguments reaching ground type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .intervals import FULL_LINE, IntervalSet
@@ -34,7 +48,14 @@ from .measure import (
     mix,
     pushforward,
 )
-from .primitives import DEFAULT_TABLE, Primitive, PrimitiveTable
+from .primitives import (
+    CHI_PREFIX,
+    DEFAULT_TABLE,
+    MONOTONE,
+    Primitive,
+    PrimitiveTable,
+    cos_preimage,
+)
 from .terms import (
     REAL,
     Abs,
@@ -176,7 +197,11 @@ def interpret(
             bound_measure = _ground(interpret(bound, env, fix=fix, table=table))
             f = compile_deterministic(body, (name,), env, table)
             if f is not None:
-                return SemMeasure(pushforward(Primitive("let", 1, f), [bound_measure]))
+                return SemMeasure(_let_pushforward(body, (name,), [bound_measure], f, env, table))
+            if bound_measure.has_continuous:
+                fused = _fuse_lets(t, bound_measure, env, fix, table)
+                if fused is not None:
+                    return SemMeasure(fused)
 
             def body_at(r: float) -> Measure:
                 inner = env.extend(name, SemMeasure(dirac(r)))
@@ -265,6 +290,126 @@ def _compile(t: Term, names: tuple[str, ...], env: Env, table: PrimitiveTable):
                 return None
             return lambda a: gbody(a + (gb(a),))
     return None
+
+
+def _fuse_lets(t: Let, first: Measure, env: Env, fix: FixConfig, table: PrimitiveTable):
+    """``let x = M in let y = N in P`` with x not free in N, as one pushforward.
+
+    Up to three independent lets (the DimensionLimit) push the product of
+    their bound measures forward along P compiled in their names.  The
+    longest chain whose body compiles and whose bounds all carry
+    continuous mass is taken (atom-only bounds mix exactly already, and
+    unfused they keep their bits); None when there is none.
+    """
+    names, bounds, bodies = [t.name], [first], [t.body]
+    while (isinstance(bodies[-1], Let) and len(names) < 3
+           and not free_vars(bodies[-1].bound) & set(names)):
+        names.append(bodies[-1].name)
+        bodies.append(bodies[-1].body)
+    for k in range(len(names), 1, -1):
+        f = compile_deterministic(bodies[k - 1], tuple(names[:k]), env, table)
+        if f is None:
+            continue
+        while len(bounds) < k:
+            bounds.append(_ground(interpret(bodies[len(bounds) - 1].bound, env,
+                                            fix=fix, table=table)))
+        if all(m.has_continuous for m in bounds[:k]):
+            return _let_pushforward(bodies[k - 1], tuple(names[:k]), bounds[:k], f, env, table)
+    return None
+
+
+def _let_pushforward(body: Term, names: tuple[str, ...], bounds: list, f, env: Env,
+                     table: PrimitiveTable) -> Measure:
+    """The pushforward of the bound measures along a compiled ``let`` body.
+
+    Its preimage inverts the body on each input it can (see _invert_on);
+    a mass query on an input it cannot falls back to quadrature.
+    """
+    chains = [_invert_on(body, names, i, env, table) for i in range(len(names))]
+    if len(names) > 1 and _jumps(body):
+        # the mass on the inner input would be a step function of the
+        # outer ones, and the outer quadrature has no MASS_REFINE pre-split
+        chains = [None] * len(names)
+    hulls = [_hull(m) for m in bounds]
+
+    def preimage(i, fixed, target):
+        steps = chains[i]
+        if steps is None:
+            return None
+        values = tuple(fixed)
+        lo, hi = hulls[i]
+        frames = []
+        for prim, slot, siblings in reversed(steps):  # forward, from the input
+            args = [None if g is None else g(values) for g in siblings]
+            frames.append((prim, slot, args, lo, hi))
+            lo, hi = _range_image(prim, slot, args, lo, hi)
+        for prim, slot, args, lo, hi in reversed(frames):  # backward, from the result
+            if prim.name == "cos":
+                target = cos_preimage(target, lo, hi)
+            else:
+                target = prim.preimage(slot, args, target)
+            if target is None:
+                return None
+        return target
+
+    pre = None if all(c is None for c in chains) else preimage
+    return pushforward(Primitive("let", len(names), f, pre), bounds)
+
+
+def _invert_on(t: Term, names: tuple[str, ...], i: int, env: Env, table: PrimitiveTable):
+    """The primitives on the path from `t` down to its one use of input i.
+
+    Each step is (primitive, slot, closures of the other arguments over
+    the inputs, None at the slot).  None when input i is used more or less
+    than once, or below an ``ifz``, a ``let``, a ``div`` denominator or a
+    primitive without a preimage.
+    """
+    name = names[i]
+    if name in names[i + 1:]:
+        return None
+    steps = []
+    while not (isinstance(t, Var) and t.name == name):
+        if not isinstance(t, Prim):
+            return None
+        slots = [k for k, a in enumerate(t.args) if name in free_vars(a)]
+        if len(slots) != 1 or (t.op == "div" and slots[0] == 1):
+            return None
+        prim = table.lookup(t.op)
+        if prim.preimage is None and t.op != "cos":
+            return None
+        slot = slots[0]
+        steps.append((prim, slot, [None if k == slot else _compile(a, names, env, table)
+                                   for k, a in enumerate(t.args)]))
+        t = t.args[slot]
+    return steps
+
+
+def _jumps(t: Term) -> bool:
+    """Whether t has an ``ifz``, a comparison or a ``chi``: a value that jumps."""
+    match t:
+        case Ifz():
+            return True
+        case Prim(op, args):
+            return op in ("eq", "lt", "le") or op.startswith(CHI_PREFIX) or any(map(_jumps, args))
+        case Let(_, bound, body):
+            return _jumps(bound) or _jumps(body)
+    return False
+
+
+def _hull(m: Measure) -> tuple[float, float]:
+    """An interval holding the support of m: atoms, and [0,1] for Lebesgue weights."""
+    if not isinstance(m, ConcreteMeasure):
+        return -math.inf, math.inf
+    points = [a.location for a in m.atoms] + ([0.0, 1.0] if m.lebesgue else [])
+    return (min(points), max(points)) if points else (-math.inf, math.inf)
+
+
+def _range_image(prim: Primitive, slot: int, args: list, lo: float, hi: float):
+    """An interval holding the primitive's values as the slot ranges over [lo, hi]."""
+    if prim.name not in MONOTONE:
+        return -math.inf, math.inf
+    ends = [prim.fn(*[end if k == slot else a for k, a in enumerate(args)]) for end in (lo, hi)]
+    return min(ends), max(ends)
 
 
 def let_bind(bound: Measure, body) -> Measure:

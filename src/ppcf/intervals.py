@@ -171,7 +171,7 @@ class IntervalSet:
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other.complement())
 
-    def _image(self, f, increasing: bool) -> "IntervalSet":
+    def image(self, f, increasing: bool) -> "IntervalSet":
         """Image under a monotone map; an endpoint that overflows is opened."""
         if increasing:
             return IntervalSet(
@@ -184,19 +184,19 @@ class IntervalSet:
     def shift(self, delta: float) -> "IntervalSet":
         if delta == 0.0:
             return self
-        return self._image(lambda x: x + delta, True)
+        return self.image(lambda x: x + delta, True)
 
     def scale(self, c: float) -> "IntervalSet":
         """Image of the set under x -> c*x (c must be nonzero)."""
         if c == 0.0:
             raise ValueError("cannot scale an interval set by zero")
-        return self._image(lambda x: x * c, c > 0)
+        return self.image(lambda x: x * c, c > 0)
 
     def divide(self, c: float) -> "IntervalSet":
         """Image of the set under x -> x/c (c must be nonzero)."""
         if c == 0.0:
             raise ValueError("cannot divide an interval set by zero")
-        return self._image(lambda x: x / c, c > 0)
+        return self.image(lambda x: x / c, c > 0)
 
     def negate(self) -> "IntervalSet":
         return self.scale(-1.0)

@@ -13,7 +13,13 @@ Exactness strategy for pushforwards: all-atom argument lists collapse to
 exact atom products at construction; otherwise the innermost integration
 dimension is resolved through the primitive's preimage (an interval-set
 computation) whenever the primitive provides one, so indicator
-integrands never reach the quadrature for those primitives.
+integrands never reach the quadrature for those primitives.  The
+primitive may be a compiled ``let`` body over one to three fused bound
+measures, whose preimage pulls the set back through the body (see
+``denotation``).  The outer dimensions then integrate the inner mass, a
+smooth function for those bodies, without the ``MASS_REFINE`` pre-split;
+a primitive without a preimage for its inner argument falls back to
+quadrature over the indicator, pre-split by ``MASS_REFINE``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ Where cheap, a primitive also knows its *preimage*: given all argument
 slots but one fixed, the set of values for the free slot that lands the
 result inside a target IntervalSet.  The denotational layer uses
 preimages to turn pushforward-mass queries into exact interval masses
-instead of quadrature over indicator integrands.
+instead of quadrature over indicator integrands.  The preimages of
+``log``, ``neg_log``, ``exp`` and ``sqrt`` include their clamped regions.
+``cos`` is not monotone, so its preimage needs the range of its argument
+and is not in the table: ``cos_preimage`` takes the range and inverts
+each monotone piece.
 """
 
 from __future__ import annotations
@@ -155,6 +159,84 @@ def _pre_div(i, fixed, target):
     return target.scale(c)
 
 
+_POSITIVE = IntervalSet.interval(0.0, math.inf, False, False)
+_NONPOSITIVE = IntervalSet.interval(-math.inf, 0.0, False, True)
+# exp(x) underflows to 0 below the log of half the least subnormal, and
+# overflows (saturating to MAXREAL) above log(MAXREAL)
+_EXP_ZERO = IntervalSet.interval(-math.inf, math.log(5e-324) - math.log(2.0), False, False)
+_EXP_SATURATED = IntervalSet.interval(math.log(MAXREAL), math.inf, False, False)
+
+
+def _exp_or_inf(u):
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
+def _log_or_minus_inf(v):
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _clamped(positive: IntervalSet, target: IntervalSet, clamp: float) -> IntervalSet:
+    """The preimage on x > 0, plus x <= 0 where the clamped value lies in U."""
+    positive = positive.intersect(_POSITIVE)
+    return positive.union(_NONPOSITIVE) if target.contains(clamp) else positive
+
+
+def _pre_log(i, fixed, target):
+    return _clamped(target.image(_exp_or_inf, True), target, -MAXREAL)
+
+
+def _pre_neg_log(i, fixed, target):
+    return _clamped(target.image(lambda u: _exp_or_inf(-u), False), target, MAXREAL)
+
+
+def _pre_sqrt(i, fixed, target):
+    return _clamped(target.intersect(_POSITIVE).image(lambda v: v * v, True), target, 0.0)
+
+
+def _pre_exp(i, fixed, target):
+    out = target.intersect(_POSITIVE).image(_log_or_minus_inf, True)
+    if target.contains(0.0):
+        out = out.union(_EXP_ZERO)
+    if target.contains(MAXREAL):
+        out = out.union(_EXP_SATURATED)
+    return out
+
+
+# The cos preimage needs the range of its argument, which the table's
+# preimages are not given; cos_preimage splits the range into at most
+# this many monotone pieces of length pi (256 pi needs 259).
+_COS_MAX_PIECES = 4096
+_COS_VALUES = IntervalSet.closed(-1.0, 1.0)
+
+
+def cos_preimage(target: IntervalSet, lo: float, hi: float) -> IntervalSet | None:
+    """{x : cos x in U} on [lo, hi], or None past _COS_MAX_PIECES pieces.
+
+    cos falls on [k pi, (k+1) pi] for even k and rises for odd k; each
+    piece inverts through acos.  A piece more on either side covers the
+    rounding of the range's ends, and the set may reach past [lo, hi].
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    first, last = math.floor(lo / math.pi) - 1, math.floor(hi / math.pi) + 1
+    if last - first + 1 > _COS_MAX_PIECES:
+        return None
+    values = target.intersect(_COS_VALUES)
+    pieces = []
+    for k in range(first, last + 1):
+        if k % 2 == 0:
+            start = k * math.pi
+            piece = values.image(lambda v: start + math.acos(v), False)
+        else:
+            end = (k + 1) * math.pi
+            piece = values.image(lambda v: end - math.acos(v), True)
+        pieces.extend(piece.pieces)
+    return IntervalSet(pieces)
+
+
 def _pre_eq(i, fixed, target):
     c = fixed[1 - i]
     return _boolean_preimage(IntervalSet.point(c), target)
@@ -188,13 +270,18 @@ _BASE_TABLE = {
         Primitive("eq", 2, _eq, _pre_eq, symbol="="),
         Primitive("lt", 2, _lt, _pre_lt, symbol="<"),
         Primitive("le", 2, _le, _pre_le, symbol="<="),
-        Primitive("log", 1, _log),
-        Primitive("neg_log", 1, _neg_log),
-        Primitive("exp", 1, _exp),
-        Primitive("sqrt", 1, _sqrt),
+        Primitive("log", 1, _log, _pre_log),
+        Primitive("neg_log", 1, _neg_log, _pre_neg_log),
+        Primitive("exp", 1, _exp, _pre_exp),
+        Primitive("sqrt", 1, _sqrt, _pre_sqrt),
         Primitive("cos", 1, _cos),
     ]
 }
+
+# Value monotone in every argument slot that has a preimage (div: the
+# numerator), so an interval of arguments maps into the hull of its ends'
+# images.
+MONOTONE = frozenset({"add", "sub", "mul", "div", "lt", "le", "log", "neg_log", "exp", "sqrt"})
 
 CHI_PREFIX = "chi["
 

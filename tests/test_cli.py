@@ -141,6 +141,13 @@ def test_file_input(tmp_path):
     assert res.output.strip() == "5.0"
 
 
+def test_long_inline_source_is_not_taken_for_a_path():
+    # 130 terms make a source longer than a file name may be
+    res = _run("run", " + ".join(["1"] * 130))
+    assert res.exit_code == 0, res.output
+    assert res.output.strip() == "130.0"
+
+
 def test_stdin_input():
     res = CliRunner().invoke(main, ["run", "-"], input="1 + 1\n")
     assert res.exit_code == 0

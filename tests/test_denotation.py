@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -416,8 +417,91 @@ def test_closed_programs_are_subprobability():
         assert total <= 1.0 + 1e-6, src
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 def test_fast_oscillating_chi_mass():
     # 1 + cos(256 pi x) > 1.5 on a third of [0,1]; 804.247719318987 is 256 pi
     src = "let x = sample in chi[(1.5,inf)](1 + cos(804.247719318987 * x))"
     assert abs(_mass(src, IntervalSet.point(1.0)) - 1.0 / 3.0) < 1e-6
+
+
+# -- let bodies resolved by preimage -------------------------------------------
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_fused_lets_are_bit_identical_to_the_primitive(op):
+    fused = interpret(parse_term(f"let x = sample in let y = sample in x {op} y")).measure
+    prim = interpret(parse_term(f"sample {op} sample")).measure
+    assert isinstance(fused, PushforwardMeasure)
+    for u in cdf_grid(-1.5, 1.5, 13):
+        assert fused.mass(u).hex() == prim.mass(u).hex()
+
+
+def test_three_fused_lets_are_bit_identical_to_the_primitive():
+    fused = interpret(parse_term(
+        "let x = sample in let y = sample in let z = sample in x + y + z")).measure
+    prim = interpret(parse_term("sample + sample + sample")).measure
+    assert isinstance(fused, PushforwardMeasure) and len(fused.args) == 3
+    for u in cdf_grid(0.2, 2.8, 4):
+        assert fused.mass(u).hex() == prim.mass(u).hex()
+
+
+def test_dependent_lets_do_not_fuse():
+    m = interpret(parse_term("let x = sample in let y = x + sample in y * y")).measure
+    assert isinstance(m, IntegralMeasure)
+
+
+def _without_preimages():
+    table = DEFAULT_TABLE
+    for name in ("add", "sub", "mul", "div", "log", "neg_log", "exp", "sqrt"):
+        table = table.with_override(
+            name, dataclasses.replace(DEFAULT_TABLE.lookup(name), preimage=None))
+    return table
+
+
+@pytest.mark.parametrize("src, grid", [
+    ("#normal", cdf_grid(-1.0, -1.0, 1)),
+    ("#gaussian 0.3 1.2", cdf_grid(1.0, 1.0, 1)),
+    ("#exponential", cdf_grid(0.5, 2.0, 2)),
+    ("let x = sample in let y = sample in x + y", cdf_grid(0.3, 1.2, 2)),
+    ("let x = sample in let y = sample in x * y", cdf_grid(0.2, 0.7, 2)),
+])
+def test_preimage_path_matches_quadrature_fallback(src, grid):
+    fast = interpret(parse_term(src)).measure
+    slow = interpret(parse_term(src), table=_without_preimages()).measure
+    for u in grid:
+        assert abs(fast.mass(u) - slow.mass(u)) < 1e-9
+
+
+# masses recorded before let bodies had preimages; none of these bodies is
+# inverted on its inner input, so they keep the quadrature's bits
+_NON_INVERTIBLE = [
+    ("let x = sample in x * x",
+     ("0x1.43d136248490fp-2", "0x1.6a09e667f3bccp-1", "0x1.27df395045d0ap-2")),
+    ("let x = sample in ifz x <= 0.5 then x else 1 - x",
+     ("0x0.0p+0", "0x1.0000000000000p-53", "0x1.999999999999ap-2")),
+    ("let x = sample in let y = x + sample in y * y",
+     ("0x1.999999999993ep-5", "0x1.0000000000004p-2", "0x1.9999999999994p-3")),
+    ("let x = sample in let y = sample in x * y * y",
+     ("0x1.109e02f15180bp-1", "0x1.d413cccfe7894p-1", "0x1.6c49b20de4190p-3")),
+    ("let x = sample in let y = sample in ifz x <= y then x else y",
+     ("0x1.47ae147ae147cp-7", "0x1.0000000000000p-2", "0x1.9999999999997p-2")),
+    # a jump in the outer input: the inner mass is a step function of x
+    ("let x = sample in let y = sample in chi[[0.3,0.31]](x) + y",
+     ("0x1.95810624dd2f5p-4", "0x1.fae147ae147aep-2", "0x1.95810624dd2f5p-2")),
+]
+
+
+@pytest.mark.parametrize("src, want", _NON_INVERTIBLE, ids=[s for s, _ in _NON_INVERTIBLE])
+def test_non_invertible_let_bodies_keep_their_masses(src, want):
+    m = interpret(parse_term(src)).measure
+    sets = ("(-inf,0.1]", "(-inf,0.5]", "[0.3,0.7]")
+    assert tuple(m.mass(parse_interval_set(s)).hex() for s in sets) == want
+
+
+def test_let_bound_iterate_is_resolved_by_preimage():
+    # `let z = y in z` is inverted on z, so each Kleene iterate's masses
+    # are one preimage deep instead of a quadrature over the last iterate
+    src = ("fix (fun y : real -> let x = sample in "
+           "ifz chi[[0,0.5]](x) then (let z = y in z) else x)")
+    m = interpret(parse_term(src)).measure
+    assert abs(m.mass(parse_interval_set("[0,0.5]")) - 1.0) < 1e-5
+    assert abs(m.mass(parse_interval_set("[0,0.25]")) - 0.5) < 1e-5

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppcf.intervals import FULL_LINE, IntervalSet, parse_interval_set
 from ppcf.measure import (
@@ -14,7 +16,7 @@ from ppcf.measure import (
     mix,
     pushforward,
 )
-from ppcf.primitives import DEFAULT_TABLE
+from ppcf.primitives import DEFAULT_TABLE, MAXREAL, cos_preimage
 from ppcf.rng import RngStream
 
 
@@ -176,6 +178,75 @@ def test_pushforward_vs_sampling_oracle():
         want = m.mass(u)
         hits = sum(1 for _ in range(n) if u.contains(sampler()))
         assert abs(hits / n - want) <= dkw + 1e-6, name
+
+
+# -- preimages -------------------------------------------------------------------
+
+
+def _interval_sets(ends):
+    piece = st.tuples(ends, ends, st.booleans(), st.booleans()).map(
+        lambda p: IntervalSet.interval(min(p[:2]), max(p[:2]), p[2], p[3]))
+    return st.lists(piece, min_size=1, max_size=3).map(
+        lambda sets: IntervalSet([q for s in sets for q in s.pieces]))
+
+
+def _at_an_end(fn, u: IntervalSet, pre: IntervalSet, x: float) -> bool:
+    """Whether x is within 4 ulps of an end of pre(U) or of {x : fn(x) in U},
+    or fn(x) within 4 ulps of an end of U (where fn is flat in floats)."""
+    near = [x]
+    for _ in range(4):
+        near = [math.nextafter(near[0], -math.inf)] + near + [math.nextafter(near[-1], math.inf)]
+    if len({pre.contains(z) for z in near}) > 1 or len({u.contains(fn(z)) for z in near}) > 1:
+        return True
+    y = fn(x)
+    ends = [e for p in u.pieces for e in (p.lo, p.hi) if math.isfinite(e)]
+    return any(abs(y - e) <= 4.0 * math.ulp(e) for e in ends)
+
+
+_CLAMP_ENDS = st.one_of(
+    st.floats(-800.0, 800.0),
+    st.floats(-1e-3, 1e-3),
+    st.sampled_from([-math.inf, math.inf, 0.0, 1.0, MAXREAL, -MAXREAL]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(["log", "neg_log", "exp", "sqrt"]),
+       u=_interval_sets(_CLAMP_ENDS),
+       x=st.one_of(st.floats(-800.0, 800.0), st.floats(-1e-3, 1e-3),
+                   st.floats(allow_nan=False, allow_infinity=False)))
+@example(name="log", u=parse_interval_set("(-inf,-700]"), x=-3.0)
+@example(name="neg_log", u=parse_interval_set("[700,inf)"), x=0.0)
+@example(name="sqrt", u=parse_interval_set("[0,1]"), x=-2.0)
+@example(name="exp", u=parse_interval_set("{0}"), x=-800.0)
+@example(name="exp", u=parse_interval_set("[1e308,inf)"), x=1000.0)
+def test_clamped_preimages_hold_off_their_ends(name, u, x):
+    # x is in pre(U) exactly when fn(x) is in U, clamped regions included,
+    # except at an end of a piece
+    prim = _prim(name)
+    pre = prim.preimage(0, [None], u)
+    if pre.contains(x) != u.contains(prim.fn(x)):
+        assert _at_an_end(prim.fn, u, pre, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=_interval_sets(st.one_of(st.floats(-1.2, 1.2),
+                                  st.sampled_from([-math.inf, math.inf, -1.0, 0.0, 1.0]))),
+       lo=st.floats(-900.0, 900.0), width=st.floats(0.0, 900.0), t=st.floats(0.0, 1.0))
+@example(u=parse_interval_set("(0.5,inf)"), lo=0.0, width=804.247719318987, t=0.5)
+def test_cos_preimage_holds_off_its_ends(u, lo, width, t):
+    hi = lo + width
+    x = min(hi, lo + t * width)
+    pre = cos_preimage(u, lo, hi)
+    if pre.contains(x) != u.contains(math.cos(x)):
+        assert _at_an_end(math.cos, u, pre, x)
+
+
+def test_cos_preimage_needs_a_range_of_few_pieces():
+    u = parse_interval_set("[0,1]")
+    assert cos_preimage(u, 0.0, math.inf) is None
+    assert cos_preimage(u, 0.0, 1e6) is None
+    assert cos_preimage(u, 0.0, 256 * math.pi) is not None
 
 
 # -- queryable structure ----------------------------------------------------------
