@@ -9,13 +9,15 @@ denotes the pushforward of its bound measure along the body.  Up to three
 independent lets, ``let x = M in let y = N in P`` with ``x`` not free in
 ``N``, fuse into one pushforward of the product of their bound measures
 along ``P``: the commutativity of the measure semantics.  The body is
-also inverted: where an input is used once, through a chain of
+also inverted: where the last input is used once, through a chain of
 primitives with preimages, a mass query pulls the set back through the
 chain to an interval set of that input.  The other arguments along the
 chain are evaluated at the outer inputs' values, and a forward pass of
 interval ranges, from the hull of the bound measure's support, gives
-``cos`` the range it splits into monotone pieces.  Any other body falls
-back to quadrature.
+``cos`` the range it splits into monotone pieces.  The outer inputs are
+integrated with the ``MASS_REFINE`` pre-split of the ``let``-integral
+the fused pushforward replaces.  Any other body falls back to
+quadrature.
 
 A ground ``fix (fun y : real -> M)`` whose ``y`` occurs in ``M`` only in
 tail position (``M`` itself, an ``ifz`` branch, a ``let`` body) is solved
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 
 from .intervals import FULL_LINE, IntervalSet
 from .measure import (
+    MASS_REFINE,
     ConcreteMeasure,
     FixpointChainMeasure,
     IntegralMeasure,
@@ -49,12 +52,12 @@ from .measure import (
     pushforward,
 )
 from .primitives import (
-    CHI_PREFIX,
     DEFAULT_TABLE,
-    MONOTONE,
     Primitive,
     PrimitiveTable,
-    cos_preimage,
+    invert,
+    jumps,
+    range_image,
 )
 from .terms import (
     REAL,
@@ -322,75 +325,70 @@ def _let_pushforward(body: Term, names: tuple[str, ...], bounds: list, f, env: E
                      table: PrimitiveTable) -> Measure:
     """The pushforward of the bound measures along a compiled ``let`` body.
 
-    Its preimage inverts the body on each input it can (see _invert_on);
-    a mass query on an input it cannot falls back to quadrature.
+    A mass query resolves the last input by preimage, the one
+    ``PushforwardMeasure`` asks for (every fused bound is continuous), and
+    integrates the others; where the body cannot be inverted on it, the
+    query falls back to quadrature.
     """
-    chains = [_invert_on(body, names, i, env, table) for i in range(len(names))]
-    if len(names) > 1 and _jumps(body):
-        # the mass on the inner input would be a step function of the
-        # outer ones, and the outer quadrature has no MASS_REFINE pre-split
-        chains = [None] * len(names)
-    hulls = [_hull(m) for m in bounds]
+    last = len(names) - 1
+    steps = _invert_on(body, names[last], names, env, table)
+    if last > 0 and _jumps(body):
+        # the inner mass would be a step function of the outer inputs;
+        # such bodies keep the indicator quadrature and its bits
+        steps = None
+    if steps is None:
+        return pushforward(Primitive("let", len(names), f), bounds)
+    hull = _hull(bounds[last])
 
     def preimage(i, fixed, target):
-        steps = chains[i]
-        if steps is None:
+        if i != last:
             return None
         values = tuple(fixed)
-        lo, hi = hulls[i]
+        lo, hi = hull
         frames = []
         for prim, slot, siblings in reversed(steps):  # forward, from the input
             args = [None if g is None else g(values) for g in siblings]
             frames.append((prim, slot, args, lo, hi))
-            lo, hi = _range_image(prim, slot, args, lo, hi)
+            lo, hi = range_image(prim, slot, args, lo, hi)
         for prim, slot, args, lo, hi in reversed(frames):  # backward, from the result
-            if prim.name == "cos":
-                target = cos_preimage(target, lo, hi)
-            else:
-                target = prim.preimage(slot, args, target)
+            target = invert(prim, slot, args, lo, hi, target)
             if target is None:
                 return None
         return target
 
-    pre = None if all(c is None for c in chains) else preimage
-    return pushforward(Primitive("let", len(names), f, pre), bounds)
+    # the outer inputs keep the pre-split of the let-integral over them
+    return pushforward(Primitive("let", len(names), f, preimage), bounds, MASS_REFINE)
 
 
-def _invert_on(t: Term, names: tuple[str, ...], i: int, env: Env, table: PrimitiveTable):
-    """The primitives on the path from `t` down to its one use of input i.
+def _invert_on(t: Term, name: str, names: tuple[str, ...], env: Env, table: PrimitiveTable):
+    """The primitives on the path from `t` down to its one use of `name`.
 
     Each step is (primitive, slot, closures of the other arguments over
-    the inputs, None at the slot).  None when input i is used more or less
-    than once, or below an ``ifz``, a ``let``, a ``div`` denominator or a
-    primitive without a preimage.
+    the inputs, None at the slot).  None when `name` is used more or less
+    than once, or below an ``ifz`` or a ``let``.
     """
-    name = names[i]
-    if name in names[i + 1:]:
-        return None
     steps = []
     while not (isinstance(t, Var) and t.name == name):
         if not isinstance(t, Prim):
             return None
         slots = [k for k, a in enumerate(t.args) if name in free_vars(a)]
-        if len(slots) != 1 or (t.op == "div" and slots[0] == 1):
-            return None
-        prim = table.lookup(t.op)
-        if prim.preimage is None and t.op != "cos":
+        if len(slots) != 1:
             return None
         slot = slots[0]
-        steps.append((prim, slot, [None if k == slot else _compile(a, names, env, table)
-                                   for k, a in enumerate(t.args)]))
+        steps.append((table.lookup(t.op), slot,
+                      [None if k == slot else _compile(a, names, env, table)
+                       for k, a in enumerate(t.args)]))
         t = t.args[slot]
     return steps
 
 
 def _jumps(t: Term) -> bool:
-    """Whether t has an ``ifz``, a comparison or a ``chi``: a value that jumps."""
+    """Whether t has an ``ifz`` or a primitive whose value jumps."""
     match t:
         case Ifz():
             return True
         case Prim(op, args):
-            return op in ("eq", "lt", "le") or op.startswith(CHI_PREFIX) or any(map(_jumps, args))
+            return jumps(op) or any(map(_jumps, args))
         case Let(_, bound, body):
             return _jumps(bound) or _jumps(body)
     return False
@@ -402,14 +400,6 @@ def _hull(m: Measure) -> tuple[float, float]:
         return -math.inf, math.inf
     points = [a.location for a in m.atoms] + ([0.0, 1.0] if m.lebesgue else [])
     return (min(points), max(points)) if points else (-math.inf, math.inf)
-
-
-def _range_image(prim: Primitive, slot: int, args: list, lo: float, hi: float):
-    """An interval holding the primitive's values as the slot ranges over [lo, hi]."""
-    if prim.name not in MONOTONE:
-        return -math.inf, math.inf
-    ends = [prim.fn(*[end if k == slot else a for k, a in enumerate(args)]) for end in (lo, hi)]
-    return min(ends), max(ends)
 
 
 def let_bind(bound: Measure, body) -> Measure:

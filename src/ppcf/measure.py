@@ -17,8 +17,9 @@ integrands never reach the quadrature for those primitives.  The
 primitive may be a compiled ``let`` body over one to three fused bound
 measures, whose preimage pulls the set back through the body (see
 ``denotation``).  The outer dimensions then integrate the inner mass, a
-smooth function for those bodies, without the ``MASS_REFINE`` pre-split;
-a primitive without a preimage for its inner argument falls back to
+continuous function; for a ``let`` body they keep the ``MASS_REFINE``
+pre-split of the ``let``-integral the pushforward stands for.  A
+primitive without a preimage for its inner argument falls back to
 quadrature over the indicator, pre-split by ``MASS_REFINE``.
 """
 
@@ -160,14 +161,19 @@ class _PreimageUnsupported(Exception):
 
 
 class PushforwardMeasure(_Memoized):
-    """Image of a product of argument measures under a primitive."""
+    """Image of a product of argument measures under a primitive.
 
-    __slots__ = ("prim", "args")
+    ``outer_refine`` pre-splits the outer dimensions of a preimage query,
+    which integrate the inner mass, as ``refine`` does in ``integrate``.
+    """
 
-    def __init__(self, prim: Primitive, args):
+    __slots__ = ("prim", "args", "outer_refine")
+
+    def __init__(self, prim: Primitive, args, outer_refine: int = 0):
         super().__init__()
         self.prim = prim
         self.args = tuple(args)
+        self.outer_refine = outer_refine
         if len(self.args) != prim.arity:
             raise ValueError(f"{prim.name} expects {prim.arity} arguments")
         continuous = sum(1 for a in self.args if a.has_continuous)
@@ -211,7 +217,7 @@ class PushforwardMeasure(_Memoized):
                 finally:
                     fixed[i] = None
 
-            return self.args[i].integrate(with_value)
+            return self.args[i].integrate(with_value, self.outer_refine)
 
         return rec(0)
 
@@ -342,7 +348,7 @@ def mix(coeffs, measures) -> Measure:
 _ATOM_COLLAPSE_LIMIT = 100_000
 
 
-def pushforward(prim: Primitive, args) -> Measure:
+def pushforward(prim: Primitive, args, outer_refine: int = 0) -> Measure:
     """Image measure of prim applied to independent argument measures."""
     args = tuple(args)
     if len(args) != prim.arity:
@@ -367,4 +373,4 @@ def pushforward(prim: Primitive, args) -> Measure:
             walk(0, [], 1.0)
             atoms = tuple(Atom(loc, w) for loc, w in sorted(out.items()) if w != 0.0)
             return ConcreteMeasure(atoms)
-    return PushforwardMeasure(prim, args)
+    return PushforwardMeasure(prim, args, outer_refine)

@@ -12,7 +12,8 @@ preimages to turn pushforward-mass queries into exact interval masses
 instead of quadrature over indicator integrands.  The preimages of
 ``log``, ``neg_log``, ``exp`` and ``sqrt`` include their clamped regions.
 ``cos`` is not monotone, so its preimage needs the range of its argument
-and is not in the table: ``cos_preimage`` takes the range and inverts
+and is not in the table: ``invert`` takes the range, which ``range_image``
+carries forward through a chain of primitives, and inverts ``cos`` on
 each monotone piece.
 """
 
@@ -197,7 +198,9 @@ def _pre_sqrt(i, fixed, target):
 
 
 def _pre_exp(i, fixed, target):
+    # off the clamped regions, where exp is 0 or MAXREAL whatever U's ends
     out = target.intersect(_POSITIVE).image(_log_or_minus_inf, True)
+    out = out.difference(_EXP_ZERO).difference(_EXP_SATURATED)
     if target.contains(0.0):
         out = out.union(_EXP_ZERO)
     if target.contains(MAXREAL):
@@ -281,13 +284,40 @@ _BASE_TABLE = {
 # Value monotone in every argument slot that has a preimage (div: the
 # numerator), so an interval of arguments maps into the hull of its ends'
 # images.
-MONOTONE = frozenset({"add", "sub", "mul", "div", "lt", "le", "log", "neg_log", "exp", "sqrt"})
+_MONOTONE = frozenset({"add", "sub", "mul", "div", "lt", "le", "log", "neg_log", "exp", "sqrt"})
+
+
+def range_image(prim: Primitive, slot: int, args: list, lo: float, hi: float):
+    """An interval holding prim's values as argument `slot` ranges over
+    [lo, hi], the other arguments fixed at `args`."""
+    if prim.name not in _MONOTONE:
+        return -math.inf, math.inf
+    ends = [prim.fn(*[end if k == slot else a for k, a in enumerate(args)]) for end in (lo, hi)]
+    return min(ends), max(ends)
+
+
+def invert(prim: Primitive, slot: int, args: list, lo: float, hi: float,
+           target: IntervalSet) -> IntervalSet | None:
+    """The values of argument `slot` in [lo, hi] that land prim in target,
+    the other arguments fixed at `args`; the set may reach past [lo, hi].
+    None when prim has no preimage there."""
+    if prim.name == "cos":
+        return cos_preimage(target, lo, hi)
+    if prim.preimage is None:
+        return None
+    return prim.preimage(slot, args, target)
+
 
 CHI_PREFIX = "chi["
 
 
 def chi_name(u: IntervalSet) -> str:
     return f"{CHI_PREFIX}{format_interval_set(u)}]"
+
+
+def jumps(name: str) -> bool:
+    """Whether the primitive's value jumps: a comparison or a ``chi``."""
+    return name in ("eq", "lt", "le") or name.startswith(CHI_PREFIX)
 
 
 def _make_chi(name: str, u: IntervalSet) -> Primitive:

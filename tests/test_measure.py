@@ -192,15 +192,22 @@ def _interval_sets(ends):
 
 def _at_an_end(fn, u: IntervalSet, pre: IntervalSet, x: float) -> bool:
     """Whether x is within 4 ulps of an end of pre(U) or of {x : fn(x) in U},
-    or fn(x) within 4 ulps of an end of U (where fn is flat in floats)."""
+    or fn, flat in floats, cannot tell x from an end of pre(U): both map
+    within 4 ulps of the same end of U."""
     near = [x]
     for _ in range(4):
         near = [math.nextafter(near[0], -math.inf)] + near + [math.nextafter(near[-1], math.inf)]
     if len({pre.contains(z) for z in near}) > 1 or len({u.contains(fn(z)) for z in near}) > 1:
         return True
+
+    def ends(s):
+        return [e for p in s.pieces for e in (p.lo, p.hi) if math.isfinite(e)]
+
+    def at(y, c):
+        return abs(y - c) <= 4.0 * math.ulp(c)
+
     y = fn(x)
-    ends = [e for p in u.pieces for e in (p.lo, p.hi) if math.isfinite(e)]
-    return any(abs(y - e) <= 4.0 * math.ulp(e) for e in ends)
+    return any(at(y, c) and at(fn(e), c) for c in ends(u) for e in ends(pre))
 
 
 _CLAMP_ENDS = st.one_of(
@@ -220,6 +227,9 @@ _CLAMP_ENDS = st.one_of(
 @example(name="sqrt", u=parse_interval_set("[0,1]"), x=-2.0)
 @example(name="exp", u=parse_interval_set("{0}"), x=-800.0)
 @example(name="exp", u=parse_interval_set("[1e308,inf)"), x=1000.0)
+@example(name="exp", u=parse_interval_set("(0,inf)"), x=-800.0)
+@example(name="exp", u=parse_interval_set("(0,1]"), x=-800.0)
+@example(name="exp", u=IntervalSet.interval(MAXREAL, math.inf, False, False), x=1000.0)
 def test_clamped_preimages_hold_off_their_ends(name, u, x):
     # x is in pre(U) exactly when fn(x) is in U, clamped regions included,
     # except at an end of a piece
