@@ -12,7 +12,8 @@ from pathlib import Path
 import click
 
 from .denotation import EMPTY_ENV, FixConfig, compile_deterministic, interpret
-from .harness import AdequacyConfig, adequacy_check, cdf_grid, denotational_masses
+from .harness import (AdequacyConfig, adequacy_check, cdf_grid, denotational_masses,
+                      require_ground)
 from .intervals import FULL_LINE, IntervalSet, format_interval_set, parse_interval_set
 from .measure import ConcreteMeasure
 from .parser import ParseError, SourceProgram, format_type, parse, parse_term, pretty
@@ -161,7 +162,7 @@ def denote_cmd(source, intervals, cdf):
     """Print denotational masses on the requested interval sets."""
     with _input_errors():
         term = _load_program(source).inlined_main()
-        typecheck({}, term)
+        require_ground(term, typecheck({}, term))
     fix = FixConfig()
     if intervals is None and cdf is None:
         value = interpret(term, EMPTY_ENV, fix=fix)

@@ -5,13 +5,15 @@ closures mapping semantic values to semantic values.  The only
 observables are ground masses, so function values are never compared.
 
 A ``let`` whose body compiles to a float function (``compile_deterministic``)
-denotes the pushforward of its bound measure along the body.  Up to three
-independent lets, ``let x = M in let y = N in P`` with ``x`` not free in
-``N``, fuse into one pushforward of the product of their bound measures
-along ``P``: the commutativity of the measure semantics.  The body is
-also inverted: where the last input is used once, through a chain of
-primitives with preimages, a mass query pulls the set back through the
-chain to an interval set of that input.  The other arguments along the
+denotes the pushforward of its bound measure along the body, and one
+builder makes it.  It walks up to three independent lets,
+``let x = M in let y = N in P`` with ``x`` not free in ``N``, and takes the
+longest chain whose body compiles: one pushforward of the product of the
+bound measures along ``P``, the commutativity of the measure semantics.
+The body is compiled once and also inverted: where the last input is used
+once, through a chain of primitives with preimages, a mass query pulls
+the set back through the chain to an interval set of that input, whatever
+jumps the body makes in the other inputs.  The other arguments along the
 chain are evaluated at the outer inputs' values, and a forward pass of
 interval ranges, from the hull of the bound measure's support, gives
 ``cos`` the range it splits into monotone pieces.  The outer inputs are
@@ -56,7 +58,6 @@ from .primitives import (
     Primitive,
     PrimitiveTable,
     invert,
-    jumps,
     range_image,
 )
 from .terms import (
@@ -198,13 +199,9 @@ def interpret(
             return SemMeasure(mix(coeffs, branches))
         case Let(name, bound, body):
             bound_measure = _ground(interpret(bound, env, fix=fix, table=table))
-            f = compile_deterministic(body, (name,), env, table)
-            if f is not None:
-                return SemMeasure(_let_pushforward(body, (name,), [bound_measure], f, env, table))
-            if bound_measure.has_continuous:
-                fused = _fuse_lets(t, bound_measure, env, fix, table)
-                if fused is not None:
-                    return SemMeasure(fused)
+            pushed = _let_pushforward(t, bound_measure, env, fix, table)
+            if pushed is not None:
+                return SemMeasure(pushed)
 
             def body_at(r: float) -> Measure:
                 inner = env.extend(name, SemMeasure(dirac(r)))
@@ -295,49 +292,43 @@ def _compile(t: Term, names: tuple[str, ...], env: Env, table: PrimitiveTable):
     return None
 
 
-def _fuse_lets(t: Let, first: Measure, env: Env, fix: FixConfig, table: PrimitiveTable):
-    """``let x = M in let y = N in P`` with x not free in N, as one pushforward.
+def _let_pushforward(t: Let, first: Measure, env: Env, fix: FixConfig,
+                     table: PrimitiveTable) -> Measure | None:
+    """The pushforward a ``let`` denotes when its body compiles, else None.
 
-    Up to three independent lets (the DimensionLimit) push the product of
-    their bound measures forward along P compiled in their names.  The
-    longest chain whose body compiles and whose bounds all carry
-    continuous mass is taken (atom-only bounds mix exactly already, and
-    unfused they keep their bits); None when there is none.
-    """
-    names, bounds, bodies = [t.name], [first], [t.body]
-    while (isinstance(bodies[-1], Let) and len(names) < 3
-           and not free_vars(bodies[-1].bound) & set(names)):
-        names.append(bodies[-1].name)
-        bodies.append(bodies[-1].body)
-    for k in range(len(names), 1, -1):
-        f = compile_deterministic(bodies[k - 1], tuple(names[:k]), env, table)
-        if f is None:
-            continue
-        while len(bounds) < k:
-            bounds.append(_ground(interpret(bodies[len(bounds) - 1].bound, env,
-                                            fix=fix, table=table)))
-        if all(m.has_continuous for m in bounds[:k]):
-            return _let_pushforward(bodies[k - 1], tuple(names[:k]), bounds[:k], f, env, table)
-    return None
-
-
-def _let_pushforward(body: Term, names: tuple[str, ...], bounds: list, f, env: Env,
-                     table: PrimitiveTable) -> Measure:
-    """The pushforward of the bound measures along a compiled ``let`` body.
+    ``let x = M in let y = N in P`` with x not free in N is one pushforward
+    of the product of the bound measures along P compiled in (x, y).  Of
+    the chains of up to three such lets (the DimensionLimit), the longest
+    whose body compiles is taken, and one of two or more only when all its
+    bounds carry continuous mass (atom-only bounds mix exactly already,
+    and unfused they keep their bits).
 
     A mass query resolves the last input by preimage, the one
     ``PushforwardMeasure`` asks for (every fused bound is continuous), and
     integrates the others; where the body cannot be inverted on it, the
     query falls back to quadrature.
     """
-    last = len(names) - 1
+    # only a continuous first bound starts a chain of two or more
+    names, bounds, bodies = [t.name], [first], [t.body]
+    while (first.has_continuous and isinstance(bodies[-1], Let) and len(names) < 3
+           and not free_vars(bodies[-1].bound) & set(names)):
+        names.append(bodies[-1].name)
+        bodies.append(bodies[-1].body)
+    for k in range(len(names), 0, -1):
+        f = compile_deterministic(bodies[k - 1], tuple(names[:k]), env, table)
+        if f is None:
+            continue
+        while len(bounds) < k:
+            bounds.append(_ground(interpret(bodies[len(bounds) - 1].bound, env,
+                                            fix=fix, table=table)))
+        if all(m.has_continuous for m in bounds[1:k]):
+            break
+    else:
+        return None
+    body, names, bounds, last = bodies[k - 1], tuple(names[:k]), bounds[:k], k - 1
     steps = _invert_on(body, names[last], names, env, table)
-    if last > 0 and _jumps(body):
-        # the inner mass would be a step function of the outer inputs;
-        # such bodies keep the indicator quadrature and its bits
-        steps = None
     if steps is None:
-        return pushforward(Primitive("let", len(names), f), bounds)
+        return pushforward(Primitive("let", k, f), bounds)
     hull = _hull(bounds[last])
 
     def preimage(i, fixed, target):
@@ -357,7 +348,7 @@ def _let_pushforward(body: Term, names: tuple[str, ...], bounds: list, f, env: E
         return target
 
     # the outer inputs keep the pre-split of the let-integral over them
-    return pushforward(Primitive("let", len(names), f, preimage), bounds, MASS_REFINE)
+    return pushforward(Primitive("let", k, f, preimage), bounds, MASS_REFINE)
 
 
 def _invert_on(t: Term, name: str, names: tuple[str, ...], env: Env, table: PrimitiveTable):
@@ -380,18 +371,6 @@ def _invert_on(t: Term, name: str, names: tuple[str, ...], env: Env, table: Prim
                        for k, a in enumerate(t.args)]))
         t = t.args[slot]
     return steps
-
-
-def _jumps(t: Term) -> bool:
-    """Whether t has an ``ifz`` or a primitive whose value jumps."""
-    match t:
-        case Ifz():
-            return True
-        case Prim(op, args):
-            return jumps(op) or any(map(_jumps, args))
-        case Let(_, bound, body):
-            return _jumps(bound) or _jumps(body)
-    return False
 
 
 def _hull(m: Measure) -> tuple[float, float]:

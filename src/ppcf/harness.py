@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from .denotation import EMPTY_ENV, FixConfig, NonConvergent, interpret
 from .intervals import IntervalSet, format_interval_set
 from .measure import DimensionLimit
-from .parser import SourceProgram
+from .parser import SourceProgram, format_type
 from .primitives import DEFAULT_TABLE, PrimitiveTable
 from .quadrature import DEFAULT_QUADRATURE, QuadratureFailure
 from .reduction import Exhausted, Value, collect_outcomes, dkw_bound
-from .terms import Term
-from .typecheck import typecheck
+from .terms import REAL, Term, Type
+from .typecheck import TypeCheckError, typecheck
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,13 @@ def denotational_masses(term: Term, intervals, *, fix: FixConfig,
     return masses
 
 
+def require_ground(term: Term, ty: Type) -> None:
+    """Raise TypeCheckError unless a program's type is real: only ground
+    programs have masses to report."""
+    if ty != REAL:
+        raise TypeCheckError(f"program must have type real, not {format_type(ty)}", term)
+
+
 def adequacy_check(program: SourceProgram, cfg: AdequacyConfig,
                    op_table: PrimitiveTable | None = None,
                    den_table: PrimitiveTable | None = None) -> AdequacyReport:
@@ -153,7 +160,7 @@ def adequacy_check(program: SourceProgram, cfg: AdequacyConfig,
     op_table = op_table or DEFAULT_TABLE
     den_table = den_table or DEFAULT_TABLE
     term = program.inlined_main()
-    typecheck({}, term, den_table)
+    require_ground(term, typecheck({}, term, den_table))
 
     outcomes = collect_outcomes(term, cfg.runs, cfg.budget, cfg.seed, op_table)
     values = [o.value for o in outcomes if isinstance(o, Value)]

@@ -160,6 +160,14 @@ class SourceProgram:
         return t
 
 
+# precedence levels, loosest first; the infix operators are the primitives
+# read and printed at the _CMP, _ADD and _MUL levels
+_LOW, _CMP, _ADD, _MUL, _APP, _ATOM = range(6)
+_INFIX = {"=": ("eq", _CMP), "<": ("lt", _CMP), "<=": ("le", _CMP),
+          "+": ("add", _ADD), "-": ("sub", _ADD), "*": ("mul", _MUL), "/": ("div", _MUL)}
+_INFIX_OF_PRIM = {op: (symbol, level) for symbol, (op, level) in _INFIX.items()}
+
+
 class _Parser:
     def __init__(self, text: str, table: PrimitiveTable):
         self.text = text
@@ -270,31 +278,30 @@ class _Parser:
             return Ifz(scrutinee, then, otherwise)
         return self.cmp()
 
-    _CMP_OPS = {"=": "eq", "<": "lt", "<=": "le"}
-    _ADD_OPS = {"+": "add", "-": "sub"}
-    _MUL_OPS = {"*": "mul", "/": "div"}
+    def infix(self, level: int) -> str | None:
+        """Consume an infix operator of this level and name its primitive."""
+        tok = self.peek()
+        entry = _INFIX.get(tok.text) if tok.kind == "symbol" else None
+        if entry is None or entry[1] != level:
+            return None
+        self.advance()
+        return entry[0]
 
     def cmp(self) -> Term:
         left = self.add()
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text in self._CMP_OPS:
-            op = self.advance().text
-            right = self.add()
-            return Prim(self._CMP_OPS[op], (left, right))
-        return left
+        op = self.infix(_CMP)
+        return left if op is None else Prim(op, (left, self.add()))
 
     def add(self) -> Term:
         t = self.mul()
-        while self.peek().kind == "symbol" and self.peek().text in self._ADD_OPS:
-            op = self.advance().text
-            t = Prim(self._ADD_OPS[op], (t, self.mul()))
+        while (op := self.infix(_ADD)) is not None:
+            t = Prim(op, (t, self.mul()))
         return t
 
     def mul(self) -> Term:
         t = self.item()
-        while self.peek().kind == "symbol" and self.peek().text in self._MUL_OPS:
-            op = self.advance().text
-            t = Prim(self._MUL_OPS[op], (t, self.item()))
+        while (op := self.infix(_MUL)) is not None:
+            t = Prim(op, (t, self.item()))
         return t
 
     def item(self) -> Term:
@@ -436,8 +443,6 @@ def parse_term(text: str, table: PrimitiveTable = DEFAULT_TABLE) -> Term:
 
 # -- pretty-printer --------------------------------------------------------
 
-_LOW, _CMP, _ADD, _MUL, _APP, _ATOM = range(6)
-
 
 def _fmt_float(v: float) -> str:
     s = repr(v)
@@ -460,14 +465,14 @@ def _type_atom(ty: Type) -> str:
 
 def pretty(t: Term) -> str:
     """Minimally parenthesized text; parse(pretty(t)) is alpha-equal to t."""
-    return _pp(t, _LOW, DEFAULT_TABLE)
+    return _pp(t, _LOW)
 
 
 def _paren_if(s: str, needed: bool) -> str:
     return f"({s})" if needed else s
 
 
-def _pp(t: Term, prec: int, table: PrimitiveTable) -> str:
+def _pp(t: Term, prec: int) -> str:
     match t:
         case Var(name):
             return name
@@ -475,46 +480,38 @@ def _pp(t: Term, prec: int, table: PrimitiveTable) -> str:
             s = _fmt_float(value)
             return f"({s})" if s.startswith("-") else s
         case Abs(name, annot, body):
-            s = f"fun {name} : {_type_atom(annot)} -> {_pp(body, _LOW, table)}"
+            s = f"fun {name} : {_type_atom(annot)} -> {_pp(body, _LOW)}"
             return _paren_if(s, prec > _LOW)
         case Let(name, bound, body):
-            s = f"let {name} = {_pp(bound, _LOW, table)} in {_pp(body, _LOW, table)}"
+            s = f"let {name} = {_pp(bound, _LOW)} in {_pp(body, _LOW)}"
             return _paren_if(s, prec > _LOW)
         case Ifz(scrutinee, then, otherwise):
             s = (
-                f"ifz {_pp(scrutinee, _LOW, table)} then {_pp(then, _LOW, table)}"
-                f" else {_pp(otherwise, _LOW, table)}"
+                f"ifz {_pp(scrutinee, _LOW)} then {_pp(then, _LOW)}"
+                f" else {_pp(otherwise, _LOW)}"
             )
             return _paren_if(s, prec > _LOW)
         case App(fun, arg):
-            s = f"{_pp(fun, _APP, table)} {_pp(arg, _ATOM, table)}"
+            s = f"{_pp(fun, _APP)} {_pp(arg, _ATOM)}"
             return _paren_if(s, prec > _APP)
         case Fix(body):
-            s = f"fix {_pp(body, _ATOM, table)}"
+            s = f"fix {_pp(body, _ATOM)}"
             return _paren_if(s, prec > _APP)
         case Prim(op, args):
-            return _pp_prim(op, args, prec, table)
+            return _pp_prim(op, args, prec)
     if t is SAMPLE:
         return "sample"
     raise TypeError(f"cannot pretty-print {t!r}")
 
 
-_INFIX_LEVEL = {"eq": _CMP, "lt": _CMP, "le": _CMP, "add": _ADD, "sub": _ADD,
-                "mul": _MUL, "div": _MUL}
-
-
-def _pp_prim(op: str, args, prec: int, table: PrimitiveTable) -> str:
+def _pp_prim(op: str, args, prec: int) -> str:
     if op.startswith(CHI_PREFIX):
         inner = op[len(CHI_PREFIX):-1]
-        return f"chi[{inner}]({_pp(args[0], _LOW, table)})"
-    level = _INFIX_LEVEL.get(op)
-    if level is not None:
-        symbol = table.lookup(op).symbol
+        return f"chi[{inner}]({_pp(args[0], _LOW)})"
+    if op in _INFIX_OF_PRIM:
+        symbol, level = _INFIX_OF_PRIM[op]
         left_prec = level if level != _CMP else level + 1
-        s = (
-            f"{_pp(args[0], left_prec, table)} {symbol} "
-            f"{_pp(args[1], level + 1, table)}"
-        )
+        s = f"{_pp(args[0], left_prec)} {symbol} {_pp(args[1], level + 1)}"
         return _paren_if(s, prec > level)
-    inner = ", ".join(_pp(a, _LOW, table) for a in args)
+    inner = ", ".join(_pp(a, _LOW) for a in args)
     return f"{op}({inner})"

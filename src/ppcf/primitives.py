@@ -38,7 +38,6 @@ class Primitive:
     arity: int
     fn: Callable[..., float]
     preimage: PreimageFn | None = None
-    symbol: str | None = None  # infix surface syntax, if any
 
     def __post_init__(self):
         if self.arity < 1:
@@ -266,13 +265,13 @@ def _pre_le(i, fixed, target):
 _BASE_TABLE = {
     p.name: p
     for p in [
-        Primitive("add", 2, _add, _pre_add, symbol="+"),
-        Primitive("sub", 2, _sub, _pre_sub, symbol="-"),
-        Primitive("mul", 2, _mul, _pre_mul, symbol="*"),
-        Primitive("div", 2, _div, _pre_div, symbol="/"),
-        Primitive("eq", 2, _eq, _pre_eq, symbol="="),
-        Primitive("lt", 2, _lt, _pre_lt, symbol="<"),
-        Primitive("le", 2, _le, _pre_le, symbol="<="),
+        Primitive("add", 2, _add, _pre_add),
+        Primitive("sub", 2, _sub, _pre_sub),
+        Primitive("mul", 2, _mul, _pre_mul),
+        Primitive("div", 2, _div, _pre_div),
+        Primitive("eq", 2, _eq, _pre_eq),
+        Primitive("lt", 2, _lt, _pre_lt),
+        Primitive("le", 2, _le, _pre_le),
         Primitive("log", 1, _log, _pre_log),
         Primitive("neg_log", 1, _neg_log, _pre_neg_log),
         Primitive("exp", 1, _exp, _pre_exp),
@@ -313,11 +312,6 @@ CHI_PREFIX = "chi["
 
 def chi_name(u: IntervalSet) -> str:
     return f"{CHI_PREFIX}{format_interval_set(u)}]"
-
-
-def jumps(name: str) -> bool:
-    """Whether the primitive's value jumps: a comparison or a ``chi``."""
-    return name in ("eq", "lt", "le") or name.startswith(CHI_PREFIX)
 
 
 def _make_chi(name: str, u: IntervalSet) -> Primitive:

@@ -147,14 +147,6 @@ def iterated_delta(f: PointFn, x: Point, us) -> float:
     return go(tuple(x), us)
 
 
-def _feasible(x: Point, us) -> bool:
-    for axis in range(len(x)):
-        total = x[axis] + sum(u[axis] for u in us)
-        if total > 1.0:
-            return False
-    return True
-
-
 def _fitting_tuples(incs, fits, cap, length: int):
     """Non-decreasing index tuples into `incs` whose sum stays within `cap`.
 
@@ -242,10 +234,12 @@ def check_pre_stable(f: PointFn, n: int, grid: int = 8, slack: float = 1e-9) -> 
         while checked < _SUBSAMPLE_BUDGET and attempts < 50 * _SUBSAMPLE_BUDGET:
             attempts += 1
             length = rng.randint(1, n + 1)
-            x = points[rng.randrange(len(points))]
-            us = tuple(increments[rng.randrange(len(increments))] for _ in range(length))
-            if _feasible(x, us):
-                record(x, us)
+            xi = rng.randrange(len(points))
+            js = [rng.randrange(len(increments)) for _ in range(length)]
+            # exact in lattice units, as in the exhaustive walk
+            if all(i + sum(inc_idx[j][axis] for j in js) <= grid
+                   for axis, i in enumerate(point_idx[xi])):
+                record(points[xi], tuple(increments[j] for j in js))
 
     return StabilityReport(
         label=f.label,

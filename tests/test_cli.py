@@ -178,6 +178,9 @@ def test_stdin_input():
     ["run", "3+2", "--runs", "0"],
     ["run", "3+2", "--runs", "-2"],
     ["check", "3+2", "--intervals", "{5}", "--runs", "200", "--budget", "-1"],
+    ["denote", "fun x : real -> x"],
+    ["denote", "fun x : real -> x", "--intervals", "[0,1]"],
+    ["check", "fun x : real -> x", "--intervals", "[0,1]", "--runs", "100"],
 ])
 def test_malformed_input_is_a_usage_error(args):
     res = _run(*args)

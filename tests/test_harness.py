@@ -28,7 +28,7 @@ def test_bernoulli_adequacy_passes():
 def test_negative_control_detects_swapped_primitive():
     # operational side computes a-b for +; denotational side untouched
     broken = DEFAULT_TABLE.with_override(
-        "add", Primitive("add", 2, lambda a, b: a - b, symbol="+")
+        "add", Primitive("add", 2, lambda a, b: a - b)
     )
     prog = parse("3 + 2")
     rep = adequacy_check(
@@ -213,7 +213,7 @@ def test_mass_error_marks_only_its_query():
         return add.preimage(i, fixed, target)
 
     table = DEFAULT_TABLE.with_override(
-        "add", Primitive("add", 2, add.fn, preimage, symbol="+")
+        "add", Primitive("add", 2, add.fn, preimage)
     )
     prog = parse("sample + 0")
     kept = IntervalSet.closed(0.0, 0.5)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppcf.stability
 from ppcf.stability import (
     DomainError,
     PointFn,
-    _feasible,
     check_pre_stable,
     delta_signed,
     identity_fn,
@@ -221,6 +221,11 @@ def test_poly_rejects_negative_coefficients():
 # -- the pruned enumeration against the definition -----------------------------
 
 
+def _feasible(x, us) -> bool:
+    """Whether x + sum(us) stays in the cube, summed in floats."""
+    return all(x[axis] + sum(u[axis] for u in us) <= 1.0 for axis in range(len(x)))
+
+
 def _reference_check(f, n, grid, slack=1e-9):
     """Every feasible tuple of combinations_with_replacement, two delta_signed each."""
     axis = [i / grid for i in range(grid + 1)]
@@ -296,6 +301,22 @@ def test_exhaustive_loop_keeps_tuples_that_fit_exactly():
     report = check_pre_stable(W, 2, 10)
     assert report.exhaustive
     assert report.checked == 180065
+
+
+def test_subsample_keeps_tuples_that_fit_exactly(monkeypatch):
+    # at grid 10, 0.7 + (0.1 + 0.2) rounds above 1 although the lattice
+    # indices 7 + 1 + 2 sum to exactly the grid
+    signed_sums = ppcf.stability._signed_sums
+    drawn = []
+
+    def recording(f, x, us, memo):
+        drawn.append((x, us))
+        return signed_sums(f, x, us, memo)
+
+    monkeypatch.setattr(ppcf.stability, "_signed_sums", recording)
+    report = check_pre_stable(identity_fn(), 4, 10)
+    assert not report.exhaustive and report.checked == len(drawn)
+    assert any(not _feasible(x, us) for x, us in drawn)
 
 
 @pytest.mark.parametrize("k,n,grid", [(1, 3, 8), (2, 2, 6), (2, 4, 4), (3, 1, 4)])
