@@ -8,12 +8,9 @@ an adequacy harness comparing the two, and a numerical pre-stability
 """
 
 from .denotation import (
-    EMPTY_ENV,
-    Env,
     FixConfig,
     NonConvergent,
     SemFunction,
-    SemMeasure,
     compile_deterministic,
     fixpoint,
     interpret,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from .denotation import EMPTY_ENV, FixConfig, compile_deterministic, interpret
+from .denotation import FixConfig, compile_deterministic, interpret
 from .harness import (AdequacyConfig, adequacy_check, cdf_grid, denotational_masses,
                       require_ground)
 from .intervals import FULL_LINE, IntervalSet, format_interval_set, parse_interval_set
@@ -165,9 +165,9 @@ def denote_cmd(source, intervals, cdf):
         require_ground(term, typecheck({}, term))
     fix = FixConfig()
     if intervals is None and cdf is None:
-        value = interpret(term, EMPTY_ENV, fix=fix)
-        queries = _default_denote_intervals(value.measure)
-        masses = [value.measure.mass(u) for u in queries]
+        measure = interpret(term, fix=fix)
+        queries = _default_denote_intervals(measure)
+        masses = [measure.mass(u) for u in queries]
     else:
         queries = _parse_intervals(intervals, cdf)
         masses = denotational_masses(term, queries, fix=fix)

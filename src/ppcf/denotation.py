@@ -1,8 +1,9 @@
 """Compositional measure semantics.
 
-Ground-type meanings are measures; arrow-type meanings are host
-closures mapping semantic values to semantic values.  The only
-observables are ground masses, so function values are never compared.
+Ground-type meanings are ``Measure``s; arrow-type meanings are
+``SemFunction``s, host closures mapping meanings to meanings.  An
+environment is a dict from names to meanings.  The only observables are
+ground masses, so function values are never compared.
 
 A ``let`` whose body compiles to a float function (``compile_deterministic``)
 denotes the pushforward of its bound measure along the body, and one
@@ -15,8 +16,9 @@ once, through a chain of primitives with preimages, a mass query pulls
 the set back through the chain to an interval set of that input, whatever
 jumps the body makes in the other inputs.  The other arguments along the
 chain are evaluated at the outer inputs' values, and a forward pass of
-interval ranges, from the hull of the bound measure's support, gives
-``cos`` the range it splits into monotone pieces.  The outer inputs are
+interval ranges, from the ``hull()`` of the last bound measure, gives
+each primitive's preimage the range of its free slot; ``cos`` splits it
+into monotone pieces.  The outer inputs are
 integrated with the ``MASS_REFINE`` pre-split of the ``let``-integral
 the fused pushforward replaces.  Any other body falls back to
 quadrature.
@@ -38,7 +40,6 @@ iteration for every spine of arguments reaching ground type.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .intervals import FULL_LINE, IntervalSet
@@ -53,13 +54,7 @@ from .measure import (
     mix,
     pushforward,
 )
-from .primitives import (
-    DEFAULT_TABLE,
-    Primitive,
-    PrimitiveTable,
-    invert,
-    range_image,
-)
+from .primitives import DEFAULT_TABLE, Primitive, PrimitiveTable, range_image
 from .terms import (
     REAL,
     Abs,
@@ -104,129 +99,90 @@ class NonConvergent(Exception):
 
 
 @dataclass(frozen=True)
-class SemMeasure:
-    measure: Measure
-
-
-@dataclass(frozen=True)
 class SemFunction:
-    fn: object  # SemValue -> SemValue
+    fn: object  # meaning -> meaning
     domain: Type
 
     def apply(self, arg):
         return self.fn(arg)
 
 
-SemValue = SemMeasure | SemFunction
-
-
-def zero_value(ty: Type) -> SemValue:
+def zero_value(ty: Type):
     if ty == REAL:
-        return SemMeasure(ConcreteMeasure())
+        return ConcreteMeasure()
     return SemFunction(lambda _arg: zero_value(ty.codomain), ty.domain)
-
-
-class Env:
-    """Immutable variable environment."""
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: dict | None = None):
-        self._bindings = dict(bindings) if bindings else {}
-
-    def lookup(self, name: str) -> SemValue:
-        try:
-            return self._bindings[name]
-        except KeyError:
-            raise KeyError(f"unbound variable {name!r} in environment") from None
-
-    def extend(self, name: str, value: SemValue) -> "Env":
-        child = Env()
-        child._bindings = {**self._bindings, name: value}
-        return child
-
-
-EMPTY_ENV = Env()
 
 
 # -- the interpretation -----------------------------------------------------
 
 
-def interpret(
-    t: Term,
-    env: Env = EMPTY_ENV,
-    *,
-    fix: FixConfig = DEFAULT_FIX,
-    table: PrimitiveTable = DEFAULT_TABLE,
-) -> SemValue:
-    match t:
-        case Var(name):
-            return env.lookup(name)
-        case Numeral(value):
-            return SemMeasure(dirac(value))
-        case _SampleTerm():
-            return SemMeasure(lebesgue_unit())
-        case Abs(name, annot, body):
-            def closure(arg, _name=name, _body=body, _env=env):
-                return interpret(_body, _env.extend(_name, arg), fix=fix, table=table)
+def interpret(t: Term, env: dict | None = None, *, fix: FixConfig = DEFAULT_FIX,
+              table: PrimitiveTable = DEFAULT_TABLE):
+    """The meaning of `t`: a Measure at ground type, a SemFunction at arrow
+    type.  `env` maps the free variables of `t` to their meanings."""
 
-            return SemFunction(closure, annot)
-        case App(fun, arg):
-            fun_value = interpret(fun, env, fix=fix, table=table)
-            if not isinstance(fun_value, SemFunction):
-                raise TypeError("application of a ground-type value")
-            arg_value = interpret(arg, env, fix=fix, table=table)
-            return fun_value.apply(arg_value)
-        case Prim(op, args):
-            arg_measures = [
-                _ground(interpret(a, env, fix=fix, table=table)) for a in args
-            ]
-            return SemMeasure(pushforward(table.lookup(op), arg_measures))
-        case Ifz(scrutinee, then, otherwise):
-            scrut = _ground(interpret(scrutinee, env, fix=fix, table=table))
-            p_zero = scrut.mass(_ZERO_SET)
-            p_nonzero = scrut.mass(_NONZERO_SET)
-            branches = []
-            coeffs = []
-            if p_zero != 0.0:
-                branches.append(_ground(interpret(then, env, fix=fix, table=table)))
-                coeffs.append(p_zero)
-            if p_nonzero != 0.0:
-                branches.append(
-                    _ground(interpret(otherwise, env, fix=fix, table=table))
-                )
-                coeffs.append(p_nonzero)
-            return SemMeasure(mix(coeffs, branches))
-        case Let(name, bound, body):
-            bound_measure = _ground(interpret(bound, env, fix=fix, table=table))
-            pushed = _let_pushforward(t, bound_measure, env, fix, table)
-            if pushed is not None:
-                return SemMeasure(pushed)
+    def den(t: Term, env: dict):
+        match t:
+            case Var(name):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise KeyError(f"unbound variable {name!r} in environment") from None
+            case Numeral(value):
+                return dirac(value)
+            case _SampleTerm():
+                return lebesgue_unit()
+            case Abs(name, annot, body):
+                return SemFunction(lambda arg: den(body, {**env, name: arg}), annot)
+            case App(fun, arg):
+                fun_value = den(fun, env)
+                if not isinstance(fun_value, SemFunction):
+                    raise TypeError("application of a ground-type value")
+                return fun_value.apply(den(arg, env))
+            case Prim(op, args):
+                return pushforward(table.lookup(op), [_ground(den(a, env)) for a in args])
+            case Ifz(scrutinee, then, otherwise):
+                scrut = _ground(den(scrutinee, env))
+                p_zero = scrut.mass(_ZERO_SET)
+                p_nonzero = scrut.mass(_NONZERO_SET)
+                branches = []
+                coeffs = []
+                if p_zero != 0.0:
+                    branches.append(_ground(den(then, env)))
+                    coeffs.append(p_zero)
+                if p_nonzero != 0.0:
+                    branches.append(_ground(den(otherwise, env)))
+                    coeffs.append(p_nonzero)
+                return mix(coeffs, branches)
+            case Let(name, bound, body):
+                bound_measure = _ground(den(bound, env))
+                pushed = _let_pushforward(t, bound_measure, env, table,
+                                          lambda b: _ground(den(b, env)))
+                if pushed is not None:
+                    return pushed
+                return let_bind(bound_measure,
+                                lambda r: _ground(den(body, {**env, name: dirac(r)})))
+            case Fix(body):
+                fun = den(body, env)
+                if not isinstance(fun, SemFunction):
+                    raise TypeError("fix needs a function value")
+                if isinstance(body, Abs) and body.annot == REAL and _tail_only(body.body, body.name):
+                    solved = _solve_affine(fun)
+                    if solved is not None:
+                        return solved
+                return fixpoint(fun, fix)
+        raise TypeError(f"not a term: {t!r}")
 
-            def body_at(r: float) -> Measure:
-                inner = env.extend(name, SemMeasure(dirac(r)))
-                return _ground(interpret(body, inner, fix=fix, table=table))
-
-            return SemMeasure(let_bind(bound_measure, body_at))
-        case Fix(body):
-            fun = interpret(body, env, fix=fix, table=table)
-            if not isinstance(fun, SemFunction):
-                raise TypeError("fix needs a function value")
-            if isinstance(body, Abs) and body.annot == REAL and _tail_only(body.body, body.name):
-                solved = _solve_affine(fun)
-                if solved is not None:
-                    return solved
-            return fixpoint(fun, fix)
-    raise TypeError(f"not a term: {t!r}")
+    return den(t, {} if env is None else env)
 
 
-def _ground(v: SemValue) -> Measure:
-    if not isinstance(v, SemMeasure):
+def _ground(v) -> Measure:
+    if not isinstance(v, Measure):
         raise TypeError("expected a ground-type value")
-    return v.measure
+    return v
 
 
-def _unit_atom(m: Measure) -> float | None:
+def _unit_atom(m) -> float | None:
     if isinstance(m, ConcreteMeasure) and not m.lebesgue and len(m.atoms) == 1:
         atom = m.atoms[0]
         if atom.weight == 1.0:
@@ -234,7 +190,7 @@ def _unit_atom(m: Measure) -> float | None:
     return None
 
 
-def compile_deterministic(t: Term, inputs: tuple[str, ...], env: Env = EMPTY_ENV,
+def compile_deterministic(t: Term, inputs: tuple[str, ...], env: dict | None = None,
                           table: PrimitiveTable = DEFAULT_TABLE):
     """Compile a deterministic first-order ground term to a float function.
 
@@ -245,11 +201,11 @@ def compile_deterministic(t: Term, inputs: tuple[str, ...], env: Env = EMPTY_ENV
     ``fun``, application or ``fix``.  A ``let`` body pushes its bound
     measure forward along it, and ``ppcf stability --fn`` checks it.
     """
-    g = _compile(t, inputs, env, table)
+    g = _compile(t, inputs, {} if env is None else env, table)
     return None if g is None else lambda *xs: g(xs)
 
 
-def _compile(t: Term, names: tuple[str, ...], env: Env, table: PrimitiveTable):
+def _compile(t: Term, names: tuple[str, ...], env: dict, table: PrimitiveTable):
     """A closure on the tuple of values of `names`, or None."""
     match t:
         case Numeral(value):
@@ -258,11 +214,7 @@ def _compile(t: Term, names: tuple[str, ...], env: Env, table: PrimitiveTable):
             if name in names:
                 index = len(names) - 1 - names[::-1].index(name)
                 return lambda a: a[index]
-            try:
-                v = env.lookup(name)
-            except KeyError:
-                return None
-            location = _unit_atom(v.measure) if isinstance(v, SemMeasure) else None
+            location = _unit_atom(env.get(name))
             return None if location is None else lambda _a: location
         case Prim(op, args):
             compiled = [_compile(a, names, env, table) for a in args]
@@ -292,8 +244,8 @@ def _compile(t: Term, names: tuple[str, ...], env: Env, table: PrimitiveTable):
     return None
 
 
-def _let_pushforward(t: Let, first: Measure, env: Env, fix: FixConfig,
-                     table: PrimitiveTable) -> Measure | None:
+def _let_pushforward(t: Let, first: Measure, env: dict, table: PrimitiveTable,
+                     ground) -> Measure | None:
     """The pushforward a ``let`` denotes when its body compiles, else None.
 
     ``let x = M in let y = N in P`` with x not free in N is one pushforward
@@ -303,10 +255,10 @@ def _let_pushforward(t: Let, first: Measure, env: Env, fix: FixConfig,
     bounds carry continuous mass (atom-only bounds mix exactly already,
     and unfused they keep their bits).
 
-    A mass query resolves the last input by preimage, the one
-    ``PushforwardMeasure`` asks for (every fused bound is continuous), and
-    integrates the others; where the body cannot be inverted on it, the
-    query falls back to quadrature.
+    `ground` interprets a later bound in `env`.  A mass query resolves the
+    last input by preimage, the one ``PushforwardMeasure`` asks for (every
+    fused bound is continuous), and integrates the others; where the body
+    cannot be inverted on it, the query falls back to quadrature.
     """
     # only a continuous first bound starts a chain of two or more
     names, bounds, bodies = [t.name], [first], [t.body]
@@ -319,66 +271,54 @@ def _let_pushforward(t: Let, first: Measure, env: Env, fix: FixConfig,
         if f is None:
             continue
         while len(bounds) < k:
-            bounds.append(_ground(interpret(bodies[len(bounds) - 1].bound, env,
-                                            fix=fix, table=table)))
+            bounds.append(ground(bodies[len(bounds) - 1].bound))
         if all(m.has_continuous for m in bounds[1:k]):
             break
     else:
         return None
-    body, names, bounds, last = bodies[k - 1], tuple(names[:k]), bounds[:k], k - 1
-    steps = _invert_on(body, names[last], names, env, table)
+    names = tuple(names[:k])
+    steps = _invert_on(bodies[k - 1], names[-1], names, env, table)
     if steps is None:
-        return pushforward(Primitive("let", k, f), bounds)
-    hull = _hull(bounds[last])
+        return pushforward(Primitive("let", k, f), bounds[:k])
 
-    def preimage(i, fixed, target):
-        if i != last:
-            return None
+    def preimage(i, fixed, lo, hi, target):
         values = tuple(fixed)
-        lo, hi = hull
         frames = []
         for prim, slot, siblings in reversed(steps):  # forward, from the input
             args = [None if g is None else g(values) for g in siblings]
             frames.append((prim, slot, args, lo, hi))
             lo, hi = range_image(prim, slot, args, lo, hi)
         for prim, slot, args, lo, hi in reversed(frames):  # backward, from the result
-            target = invert(prim, slot, args, lo, hi, target)
+            target = prim.preimage(slot, args, lo, hi, target)
             if target is None:
                 return None
         return target
 
     # the outer inputs keep the pre-split of the let-integral over them
-    return pushforward(Primitive("let", k, f, preimage), bounds, MASS_REFINE)
+    return pushforward(Primitive("let", k, f, preimage), bounds[:k], MASS_REFINE)
 
 
-def _invert_on(t: Term, name: str, names: tuple[str, ...], env: Env, table: PrimitiveTable):
+def _invert_on(t: Term, name: str, names: tuple[str, ...], env: dict, table: PrimitiveTable):
     """The primitives on the path from `t` down to its one use of `name`.
 
     Each step is (primitive, slot, closures of the other arguments over
     the inputs, None at the slot).  None when `name` is used more or less
-    than once, or below an ``ifz`` or a ``let``.
+    than once, below an ``ifz`` or a ``let``, or through a primitive
+    without a preimage.
     """
     steps = []
     while not (isinstance(t, Var) and t.name == name):
         if not isinstance(t, Prim):
             return None
         slots = [k for k, a in enumerate(t.args) if name in free_vars(a)]
-        if len(slots) != 1:
+        prim = table.lookup(t.op)
+        if len(slots) != 1 or prim.preimage is None:
             return None
         slot = slots[0]
-        steps.append((table.lookup(t.op), slot,
-                      [None if k == slot else _compile(a, names, env, table)
-                       for k, a in enumerate(t.args)]))
+        steps.append((prim, slot, [None if k == slot else _compile(a, names, env, table)
+                                   for k, a in enumerate(t.args)]))
         t = t.args[slot]
     return steps
-
-
-def _hull(m: Measure) -> tuple[float, float]:
-    """An interval holding the support of m: atoms, and [0,1] for Lebesgue weights."""
-    if not isinstance(m, ConcreteMeasure):
-        return -math.inf, math.inf
-    points = [a.location for a in m.atoms] + ([0.0, 1.0] if m.lebesgue else [])
-    return (min(points), max(points)) if points else (-math.inf, math.inf)
 
 
 def let_bind(bound: Measure, body) -> Measure:
@@ -410,7 +350,7 @@ def _tail_only(t: Term, y: str) -> bool:
     return y not in free_vars(t)
 
 
-def _solve_affine(f: SemFunction) -> SemMeasure | None:
+def _solve_affine(f: SemFunction) -> Measure | None:
     """Least fixpoint of a ground functional F(nu) = A + q*nu: A / (1 - q).
 
     q is read off F at a probability measure; the unit Dirac at 0 keeps
@@ -420,11 +360,11 @@ def _solve_affine(f: SemFunction) -> SemMeasure | None:
     a = _ground(f.apply(zero_value(REAL)))
     a_mass = a.total_mass()
     if a_mass == 0.0:
-        return SemMeasure(ConcreteMeasure())
-    gap = 1.0 - _ground(f.apply(SemMeasure(dirac(0.0)))).total_mass() + a_mass
+        return ConcreteMeasure()
+    gap = 1.0 - _ground(f.apply(dirac(0.0))).total_mass() + a_mass
     if gap <= 0.0:
         return None
-    return SemMeasure(mix([1.0 / gap], [a]))
+    return mix([1.0 / gap], [a])
 
 
 def _iterate_ground(make_measure, cfg: FixConfig) -> Measure:
@@ -445,7 +385,7 @@ def _iterate_ground(make_measure, cfg: FixConfig) -> Measure:
     raise NonConvergent(cfg.max_iters, {FULL_LINE.key(): total})
 
 
-def fixpoint(f: SemFunction, cfg: FixConfig = DEFAULT_FIX) -> SemValue:
+def fixpoint(f: SemFunction, cfg: FixConfig = DEFAULT_FIX):
     """sup of f^n(0) from the zero value of f's domain type.
 
     At ground type the chain of iterates is materialized once; at
@@ -454,9 +394,9 @@ def fixpoint(f: SemFunction, cfg: FixConfig = DEFAULT_FIX) -> SemValue:
     """
     ty = f.domain
 
-    def value_at(ty: Type, spine: tuple) -> SemValue:
+    def value_at(ty: Type, spine: tuple):
         if ty == REAL:
-            iterates: list[SemValue] = [zero_value(f.domain)]
+            iterates = [zero_value(f.domain)]
 
             def make_measure(k: int) -> Measure:
                 while len(iterates) <= k:
@@ -466,7 +406,7 @@ def fixpoint(f: SemFunction, cfg: FixConfig = DEFAULT_FIX) -> SemValue:
                     v = v.apply(arg)
                 return _ground(v)
 
-            return SemMeasure(_iterate_ground(make_measure, cfg))
+            return _iterate_ground(make_measure, cfg)
         return SemFunction(lambda arg: value_at(ty.codomain, spine + (arg,)), ty.domain)
 
     return value_at(ty, ())

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .denotation import EMPTY_ENV, FixConfig, NonConvergent, interpret
+from .denotation import FixConfig, NonConvergent, interpret
 from .intervals import IntervalSet, format_interval_set
 from .measure import DimensionLimit
 from .parser import SourceProgram, format_type
@@ -130,7 +130,7 @@ def denotational_masses(term: Term, intervals, *, fix: FixConfig,
     that set only.
     """
     try:
-        measure = interpret(term, EMPTY_ENV, fix=fix, table=table).measure
+        measure = interpret(term, fix=fix, table=table)
     except _DENOTATION_ERRORS as exc:
         return [exc] * len(intervals)
     masses: list[float | Exception] = []

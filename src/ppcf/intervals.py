@@ -52,9 +52,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def bounded(self) -> bool:
-        return self.lo > -INF and self.hi < INF
-
 
 def _piece(lo, hi, lo_closed=True, hi_closed=True) -> Interval | None:
     """Build a piece, returning None when it denotes the empty set."""
@@ -116,9 +113,6 @@ class IntervalSet:
     @property
     def is_empty(self) -> bool:
         return not self.pieces
-
-    def bounded(self) -> bool:
-        return all(p.bounded() for p in self.pieces)
 
     def total_length(self) -> float:
         return sum(p.length() for p in self.pieces)

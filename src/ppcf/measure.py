@@ -14,13 +14,16 @@ exact atom products at construction; otherwise the innermost integration
 dimension is resolved through the primitive's preimage (an interval-set
 computation) whenever the primitive provides one, so indicator
 integrands never reach the quadrature for those primitives.  The
-primitive may be a compiled ``let`` body over one to three fused bound
-measures, whose preimage pulls the set back through the body (see
-``denotation``).  The outer dimensions then integrate the inner mass, a
-continuous function; for a ``let`` body they keep the ``MASS_REFINE``
-pre-split of the ``let``-integral the pushforward stands for.  A
-primitive without a preimage for its inner argument falls back to
-quadrature over the indicator, pre-split by ``MASS_REFINE``.
+preimage is called as ``preimage(slot, values, lo, hi, U)`` with the
+``hull()`` of the inner argument for ``[lo, hi]``: the atoms and [0,1] of
+a concrete measure, the whole line for any other.  The primitive may be
+a compiled ``let`` body over one to three fused bound measures, whose
+preimage pulls the set back through the body (see ``denotation``).  The
+outer dimensions then integrate the inner mass, a continuous function;
+for a ``let`` body they keep the ``MASS_REFINE`` pre-split of the
+``let``-integral the pushforward stands for.  A primitive without a
+preimage, or whose preimage returns None, falls back to quadrature over
+the indicator, pre-split by ``MASS_REFINE``.
 """
 
 from __future__ import annotations
@@ -73,6 +76,10 @@ class Measure:
     def total_mass(self) -> float:
         return self.mass(FULL_LINE)
 
+    def hull(self) -> tuple[float, float]:
+        """An interval holding the support."""
+        return -math.inf, math.inf
+
     @property
     def has_continuous(self) -> bool:
         raise NotImplementedError
@@ -120,6 +127,11 @@ class ConcreteMeasure(Measure):
                 if weight != 0.0:
                     total += weight * integrate_adaptive(g, 0.0, 1.0, knots=knots)
         return total
+
+    def hull(self) -> tuple[float, float]:
+        """The atoms' locations, and [0,1] for Lebesgue weights."""
+        points = [a.location for a in self.atoms] + ([0.0, 1.0] if self.lebesgue else [])
+        return (min(points), max(points)) if points else (-math.inf, math.inf)
 
     def __repr__(self):
         return f"ConcreteMeasure(atoms={self.atoms!r}, lebesgue={self.lebesgue!r})"
@@ -183,57 +195,45 @@ class PushforwardMeasure(_Memoized):
             )
 
     def _compute_mass(self, u: IntervalSet) -> float:
-        inner = None
-        if self.prim.preimage is not None:
-            for j in range(len(self.args) - 1, -1, -1):
-                if self.args[j].has_continuous:
-                    inner = j
-                    break
-        if inner is None:
-            return self.integrate(lambda y: 1.0 if u.contains(y) else 0.0,
-                                  refine=MASS_REFINE)
-        try:
-            return self._mass_via_preimage(u, inner)
-        except _PreimageUnsupported:
-            return self.integrate(lambda y: 1.0 if u.contains(y) else 0.0,
-                                  refine=MASS_REFINE)
+        continuous = [j for j, a in enumerate(self.args) if a.has_continuous]
+        if self.prim.preimage is not None and continuous:
+            try:  # the innermost continuous argument, by preimage
+                return self._mass_via_preimage(u, continuous[-1])
+            except _PreimageUnsupported:
+                pass
+        return self.integrate(lambda y: 1.0 if u.contains(y) else 0.0, refine=MASS_REFINE)
 
     def _mass_via_preimage(self, u: IntervalSet, inner: int) -> float:
+        preimage, inner_arg = self.prim.preimage, self.args[inner]
+        lo, hi = inner_arg.hull()
+
+        def inner_mass(values: list) -> float:
+            pre = preimage(inner, values, lo, hi, u)
+            if pre is None:
+                raise _PreimageUnsupported
+            return inner_arg.mass(pre)
+
         outer = [i for i in range(len(self.args)) if i != inner]
-        fixed: list = [None] * len(self.args)
-
-        def rec(k: int) -> float:
-            if k == len(outer):
-                pre = self.prim.preimage(inner, fixed, u)
-                if pre is None:
-                    raise _PreimageUnsupported
-                return self.args[inner].mass(pre)
-            i = outer[k]
-
-            def with_value(v: float) -> float:
-                fixed[i] = v
-                try:
-                    return rec(k + 1)
-                finally:
-                    fixed[i] = None
-
-            return self.args[i].integrate(with_value, self.outer_refine)
-
-        return rec(0)
+        return self._nested(outer, self.outer_refine, inner_mass)
 
     def integrate(self, g, refine: int = 0) -> float:
-        n = len(self.args)
-        values: list = [None] * n
         fn = self.prim.fn
+        return self._nested(range(len(self.args)), refine, lambda values: g(fn(*values)))
 
-        def rec(i: int) -> float:
-            if i == n:
-                return g(fn(*values))
+    def _nested(self, dims, refine: int, leaf) -> float:
+        """leaf(values) integrated against the arguments at `dims`, outermost
+        first; `values` holds their current values, None elsewhere."""
+        values: list = [None] * len(self.args)
+
+        def rec(k: int) -> float:
+            if k == len(dims):
+                return leaf(values)
+            i = dims[k]
 
             def with_value(v: float) -> float:
                 values[i] = v
                 try:
-                    return rec(i + 1)
+                    return rec(k + 1)
                 finally:
                     values[i] = None
 

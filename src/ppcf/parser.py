@@ -329,15 +329,12 @@ class _Parser:
     def atom(self) -> Term:
         tok = self.peek()
         if tok.kind == "number":
-            self.advance()
-            return Numeral(float(tok.text))
+            return self.numeral(1.0)
         if tok.kind == "symbol" and tok.text == "-":
             self.advance()
-            num = self.peek()
-            if num.kind != "number":
+            if self.peek().kind != "number":
                 self.fail("expected a number after unary '-'", {"<number>"})
-            self.advance()
-            return Numeral(-float(num.text))
+            return self.numeral(-1.0)
         if tok.text == "sample":
             self.advance()
             return SAMPLE
@@ -378,6 +375,15 @@ class _Parser:
             {"<number>", "<name>", "sample", "(", "#", "chi"},
         )
 
+    def numeral(self, sign: float) -> Numeral:
+        """The number token here, times `sign`: a finite float Python can read."""
+        try:  # `1e400` overflows, and `²` is a digit float() does not read
+            numeral = Numeral(sign * float(self.peek().text))
+        except ValueError as exc:
+            self.fail(str(exc))
+        self.advance()
+        return numeral
+
     def macro_call(self, hash_tok: Token) -> Term:
         tok = self.peek()
         if tok.kind != "ident" or tok.text not in MACRO_SIGNATURES:
@@ -398,8 +404,11 @@ class _Parser:
                     num = self.peek()
                     if num.kind != "number" or not num.text.isdigit():
                         self.fail("expected an integer literal")
+                    try:
+                        args.append(int(num.text))
+                    except ValueError as exc:
+                        self.fail(str(exc))
                     self.advance()
-                    args.append(int(num.text))
             self.expect(")")
         try:  # the builder checks argument values, e.g. #expectation(0)
             return expand_macro(name, tuple(args))

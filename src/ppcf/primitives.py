@@ -5,16 +5,18 @@ clamped (``log`` at or below 0 returns -MAXREAL, division by zero
 returns 0, non-finite results saturate to +-MAXREAL).  Comparisons
 return 1.0 / 0.0.
 
-Where cheap, a primitive also knows its *preimage*: given all argument
-slots but one fixed, the set of values for the free slot that lands the
-result inside a target IntervalSet.  The denotational layer uses
-preimages to turn pushforward-mass queries into exact interval masses
-instead of quadrature over indicator integrands.  The preimages of
-``log``, ``neg_log``, ``exp`` and ``sqrt`` include their clamped regions.
-``cos`` is not monotone, so its preimage needs the range of its argument
-and is not in the table: ``invert`` takes the range, which ``range_image``
-carries forward through a chain of primitives, and inverts ``cos`` on
-each monotone piece.
+Every primitive in the table also knows its *preimage*
+``preimage(slot, args, lo, hi, target)``: given all argument slots but
+``slot`` fixed at ``args``, and ``[lo, hi]`` holding the values of the free
+slot, the set of values for the free slot that lands the result inside
+the target IntervalSet (it may reach past ``[lo, hi]``), or None where
+there is none to give.  The denotational layer uses preimages to turn
+pushforward-mass queries into exact interval masses instead of
+quadrature over indicator integrands.  The preimages of ``log``,
+``neg_log``, ``exp`` and ``sqrt`` include their clamped regions.  Only
+``cos``, which is not monotone, reads the range: it inverts on each
+monotone piece of a finite one.  ``range_image`` carries a range forward
+through a chain of primitives.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .intervals import EMPTY, FULL_LINE, IntervalSet, format_interval_set, parse
 
 MAXREAL = sys.float_info.max
 
-# target at slot `i` given the other argument values:
-PreimageFn = Callable[[int, list, IntervalSet], Optional[IntervalSet]]
+# (slot, the other argument values, range of the slot, target) -> set of the slot:
+PreimageFn = Callable[[int, list, float, float, IntervalSet], Optional[IntervalSet]]
 
 
 @dataclass(frozen=True)
@@ -128,19 +130,19 @@ def _boolean_preimage(true_set: IntervalSet, target: IntervalSet) -> IntervalSet
     return out
 
 
-def _pre_add(i, fixed, target):
+def _pre_add(i, fixed, lo, hi, target):
     c = fixed[1 - i]
     return target.shift(-c)
 
 
-def _pre_sub(i, fixed, target):
+def _pre_sub(i, fixed, lo, hi, target):
     if i == 0:  # x - c in U
         return target.shift(fixed[1])
     # c - x in U  <=>  x in c - U
     return target.negate().shift(fixed[0])
 
 
-def _pre_mul(i, fixed, target):
+def _pre_mul(i, fixed, lo, hi, target):
     c = fixed[1 - i]
     if c == 0.0:
         return FULL_LINE if target.contains(0.0) else EMPTY
@@ -150,7 +152,7 @@ def _pre_mul(i, fixed, target):
     return target.scale(inv)
 
 
-def _pre_div(i, fixed, target):
+def _pre_div(i, fixed, lo, hi, target):
     if i != 0:
         return None  # denominator slot: not worth the case split
     c = fixed[1]
@@ -184,19 +186,19 @@ def _clamped(positive: IntervalSet, target: IntervalSet, clamp: float) -> Interv
     return positive.union(_NONPOSITIVE) if target.contains(clamp) else positive
 
 
-def _pre_log(i, fixed, target):
+def _pre_log(i, fixed, lo, hi, target):
     return _clamped(target.image(_exp_or_inf, True), target, -MAXREAL)
 
 
-def _pre_neg_log(i, fixed, target):
+def _pre_neg_log(i, fixed, lo, hi, target):
     return _clamped(target.image(lambda u: _exp_or_inf(-u), False), target, MAXREAL)
 
 
-def _pre_sqrt(i, fixed, target):
+def _pre_sqrt(i, fixed, lo, hi, target):
     return _clamped(target.intersect(_POSITIVE).image(lambda v: v * v, True), target, 0.0)
 
 
-def _pre_exp(i, fixed, target):
+def _pre_exp(i, fixed, lo, hi, target):
     # off the clamped regions, where exp is 0 or MAXREAL whatever U's ends
     out = target.intersect(_POSITIVE).image(_log_or_minus_inf, True)
     out = out.difference(_EXP_ZERO).difference(_EXP_SATURATED)
@@ -207,9 +209,8 @@ def _pre_exp(i, fixed, target):
     return out
 
 
-# The cos preimage needs the range of its argument, which the table's
-# preimages are not given; cos_preimage splits the range into at most
-# this many monotone pieces of length pi (256 pi needs 259).
+# cos_preimage splits the range of its argument into at most this many
+# monotone pieces of length pi (256 pi needs 259).
 _COS_MAX_PIECES = 4096
 _COS_VALUES = IntervalSet.closed(-1.0, 1.0)
 
@@ -239,12 +240,16 @@ def cos_preimage(target: IntervalSet, lo: float, hi: float) -> IntervalSet | Non
     return IntervalSet(pieces)
 
 
-def _pre_eq(i, fixed, target):
+def _pre_cos(i, fixed, lo, hi, target):
+    return cos_preimage(target, lo, hi)
+
+
+def _pre_eq(i, fixed, lo, hi, target):
     c = fixed[1 - i]
     return _boolean_preimage(IntervalSet.point(c), target)
 
 
-def _pre_lt(i, fixed, target):
+def _pre_lt(i, fixed, lo, hi, target):
     c = fixed[1 - i]
     if i == 0:  # x < c
         true_set = IntervalSet.interval(-math.inf, c, False, False)
@@ -253,7 +258,7 @@ def _pre_lt(i, fixed, target):
     return _boolean_preimage(true_set, target)
 
 
-def _pre_le(i, fixed, target):
+def _pre_le(i, fixed, lo, hi, target):
     c = fixed[1 - i]
     if i == 0:  # x <= c
         true_set = IntervalSet.interval(-math.inf, c, False, True)
@@ -276,13 +281,13 @@ _BASE_TABLE = {
         Primitive("neg_log", 1, _neg_log, _pre_neg_log),
         Primitive("exp", 1, _exp, _pre_exp),
         Primitive("sqrt", 1, _sqrt, _pre_sqrt),
-        Primitive("cos", 1, _cos),
+        Primitive("cos", 1, _cos, _pre_cos),
     ]
 }
 
 # Value monotone in every argument slot that has a preimage (div: the
 # numerator), so an interval of arguments maps into the hull of its ends'
-# images.
+# images; cos is the one primitive that is not.
 _MONOTONE = frozenset({"add", "sub", "mul", "div", "lt", "le", "log", "neg_log", "exp", "sqrt"})
 
 
@@ -293,18 +298,6 @@ def range_image(prim: Primitive, slot: int, args: list, lo: float, hi: float):
         return -math.inf, math.inf
     ends = [prim.fn(*[end if k == slot else a for k, a in enumerate(args)]) for end in (lo, hi)]
     return min(ends), max(ends)
-
-
-def invert(prim: Primitive, slot: int, args: list, lo: float, hi: float,
-           target: IntervalSet) -> IntervalSet | None:
-    """The values of argument `slot` in [lo, hi] that land prim in target,
-    the other arguments fixed at `args`; the set may reach past [lo, hi].
-    None when prim has no preimage there."""
-    if prim.name == "cos":
-        return cos_preimage(target, lo, hi)
-    if prim.preimage is None:
-        return None
-    return prim.preimage(slot, args, target)
 
 
 CHI_PREFIX = "chi["
@@ -318,7 +311,7 @@ def _make_chi(name: str, u: IntervalSet) -> Primitive:
     def fn(x):
         return 1.0 if u.contains(x) else 0.0
 
-    def pre(i, fixed, target):
+    def pre(i, fixed, lo, hi, target):
         return _boolean_preimage(u, target)
 
     return Primitive(name, 1, fn, pre)

@@ -57,8 +57,8 @@ def test_criterion_1_dirac_arithmetic():
 
 def test_criterion_2_cbn_vs_let():
     t0 = time.monotonic()
-    cbn = interpret(parse_term("(fun x : real -> x = x) sample")).measure
-    let_m = interpret(parse_term("let x = sample in x = x")).measure
+    cbn = interpret(parse_term("(fun x : real -> x = x) sample"))
+    let_m = interpret(parse_term("let x = sample in x = x"))
     exact = (
         cbn.mass(IntervalSet.point(0.0)) == 1.0
         and let_m.mass(IntervalSet.point(1.0)) == 1.0
@@ -148,10 +148,10 @@ def test_criterion_4_exponential_and_normal():
 def test_criterion_5_conditioning():
     t0 = time.monotonic()
     v = interpret(parse_term("#observe([0,0.5]) sample"))
-    cond = v.measure.mass(IntervalSet.closed(0.0, 0.25))
+    cond = v.mass(IntervalSet.closed(0.0, 0.25))
 
     empty = interpret(parse_term("#observe([2,3]) sample"))
-    zero_total = empty.measure.total_mass()
+    zero_total = empty.total_mass()
     outcomes = [
         run(parse_term("#observe([2,3]) sample"), 400, RngStream.for_run(3, i))
         for i in range(300)
@@ -186,8 +186,8 @@ def _irwin_hall_cdf_of_sum_at_one() -> float:
 def test_criterion_6_expectation():
     t0 = time.monotonic()
     v = interpret(parse_term("#expectation(3) (fun x : real -> x) sample"))
-    half = v.measure.mass(IntervalSet.closed(0.0, 0.5))
-    third = v.measure.mass(IntervalSet.closed(0.0, 1.0 / 3.0))
+    half = v.mass(IntervalSet.closed(0.0, 0.5))
+    third = v.mass(IntervalSet.closed(0.0, 1.0 / 3.0))
     oracle = _irwin_hall_cdf_of_sum_at_one()
     took = _elapsed(t0)
     ok = abs(half - 0.5) <= 1e-4 and abs(third - oracle) <= 1e-4
@@ -260,8 +260,8 @@ def test_criterion_7_soundness_suite():
         d = decompose(t)
         assert isinstance(d, Split) and d.redex is not SAMPLE
         stepped = step(t, RngStream(0))
-        before = interpret(t).measure
-        after = interpret(stepped).measure
+        before = interpret(t)
+        after = interpret(stepped)
         for u in _PROBES:
             worst = max(worst, abs(before.mass(u) - after.mass(u)))
     ok_steps = worst <= 2e-6
@@ -279,9 +279,9 @@ def test_criterion_7_soundness_suite():
         t = parse_term(src)
         d = decompose(t)
         assert isinstance(d, Split) and d.redex is SAMPLE
-        lhs = interpret(t).measure.mass(u)
+        lhs = interpret(t).mass(u)
         rhs = integrate_adaptive(
-            lambda r: interpret(plug(d.context, Numeral(r))).measure.mass(u), 0.0, 1.0
+            lambda r: interpret(plug(d.context, Numeral(r))).mass(u), 0.0, 1.0
         )
         worst_int = max(worst_int, abs(lhs - rhs))
     ok_integral = worst_int <= 1e-6

@@ -41,6 +41,19 @@ def test_run_summary_deterministic_via_env_seed():
     assert a.output == b.output
 
 
+def test_run_reports_a_stuck_normal_form():
+    # run reduces programs of any type: a function is a normal form, not a numeral
+    res = _run("run", "fun x : real -> x")
+    assert res.exit_code == 0
+    assert res.output.strip() == "stuck normal form after 0 steps: fun x : real -> x"
+
+
+def test_run_reports_an_exhausted_budget():
+    res = _run("run", "fix (fun y : real -> y)", "--budget", "5")
+    assert res.exit_code == 0
+    assert res.output.strip() == "exhausted budget of 5 steps"
+
+
 def test_run_summary_counts_stuck_runs():
     # a function of type real -> real is a normal form, but not a numeral
     res = _run("run", "(fun x : real -> fun y : real -> x + y) sample", "--runs", "5")
@@ -181,6 +194,16 @@ def test_stdin_input():
     ["denote", "fun x : real -> x"],
     ["denote", "fun x : real -> x", "--intervals", "[0,1]"],
     ["check", "fun x : real -> x", "--intervals", "[0,1]", "--runs", "100"],
+    # numerals Python cannot read: a float overflow, a digit float() and
+    # int() do not take
+    ["parse", "1e400"],
+    ["parse", "--", "-1e400"],
+    ["run", "1e400"],
+    ["check", "1e400", "--intervals", "{0}"],
+    ["denote", "1e400"],
+    ["stability", "--fn", "1e400 * x1"],
+    ["parse", "1 + ²"],
+    ["parse", "#expectation(²) (fun x : real -> x) sample"],
 ])
 def test_malformed_input_is_a_usage_error(args):
     res = _run(*args)

@@ -207,10 +207,10 @@ def test_mass_error_marks_only_its_query():
     failing = IntervalSet.closed(0.0, 0.25)
     add = DEFAULT_TABLE.lookup("add")
 
-    def preimage(i, fixed, target):
+    def preimage(i, fixed, lo, hi, target):
         if target == failing:
             raise QuadratureFailure("injected")
-        return add.preimage(i, fixed, target)
+        return add.preimage(i, fixed, lo, hi, target)
 
     table = DEFAULT_TABLE.with_override(
         "add", Primitive("add", 2, add.fn, preimage)

@@ -102,11 +102,11 @@ def test_mul_preimage_at_a_subnormal_factor():
     tiny = 5e-324
     for target in ("(-inf,0]", "(0,0.5]", "[-1,1]"):
         u = parse_interval_set(target)
-        assert pre(0, [None, tiny], u) == u.divide(tiny)
-        assert pre(1, [-tiny, None], u) == u.divide(-tiny)
+        assert pre(0, [None, tiny], -math.inf, math.inf, u) == u.divide(tiny)
+        assert pre(1, [-tiny, None], -math.inf, math.inf, u) == u.divide(-tiny)
     # a normal factor keeps the multiplication by its reciprocal
     u = parse_interval_set("(-inf,0.3]")
-    assert pre(0, [None, 0.7], u) == u.scale(1.0 / 0.7)
+    assert pre(0, [None, 0.7], -math.inf, math.inf, u) == u.scale(1.0 / 0.7)
 
 
 def test_parse_format_roundtrip():
@@ -131,7 +131,7 @@ def test_chi_of_empty_set_looks_up():
     assert chi_name(EMPTY) == "chi[{}]"
     for x in (-1e300, -1.0, 0.0, 0.5, 1.0, 1e300):
         assert chi.fn(x) == 0.0
-    assert chi.preimage(0, [None], IntervalSet.point(0.0)) == FULL_LINE
+    assert chi.preimage(0, [None], -math.inf, math.inf, IntervalSet.point(0.0)) == FULL_LINE
 
 
 def test_infinite_endpoints_are_open():

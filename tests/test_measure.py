@@ -234,7 +234,7 @@ def test_clamped_preimages_hold_off_their_ends(name, u, x):
     # x is in pre(U) exactly when fn(x) is in U, clamped regions included,
     # except at an end of a piece
     prim = _prim(name)
-    pre = prim.preimage(0, [None], u)
+    pre = prim.preimage(0, [None], -math.inf, math.inf, u)
     if pre.contains(x) != u.contains(prim.fn(x)):
         assert _at_an_end(prim.fn, u, pre, x)
 
@@ -250,6 +250,62 @@ def test_cos_preimage_holds_off_its_ends(u, lo, width, t):
     pre = cos_preimage(u, lo, hi)
     if pre.contains(x) != u.contains(math.cos(x)):
         assert _at_an_end(math.cos, u, pre, x)
+
+
+_BINARY_ENDS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-math.inf, math.inf, 0.0, 1.0, MAXREAL, -MAXREAL]),
+)
+_BINARY_VALUES = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3),
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([0.0, 5e-324, MAXREAL, -MAXREAL]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(name=st.sampled_from(["add", "sub", "mul", "div", "eq", "lt", "le"]),
+       slot=st.sampled_from([0, 1]), u=_interval_sets(_BINARY_ENDS),
+       c=_BINARY_VALUES, x=_BINARY_VALUES)
+@example(name="div", slot=0, u=parse_interval_set("{0}"), c=0.0, x=3.0)
+@example(name="div", slot=0, u=parse_interval_set("[1,2]"), c=0.0, x=3.0)
+@example(name="div", slot=1, u=parse_interval_set("[1,2]"), c=3.0, x=2.0)
+@example(name="lt", slot=1, u=parse_interval_set("{1}"), c=0.5, x=0.75)
+@example(name="lt", slot=1, u=parse_interval_set("{0}"), c=0.5, x=0.5)
+@example(name="le", slot=1, u=parse_interval_set("{1}"), c=0.5, x=0.5)
+@example(name="le", slot=1, u=parse_interval_set("{0}"), c=0.5, x=0.25)
+def test_binary_preimages_hold_off_their_ends(name, slot, u, c, x):
+    # x is in pre(U) exactly when fn(..x..) is in U, except at an end of a
+    # piece for the arithmetic, whose ends round; div has no preimage in its
+    # denominator
+    prim = _prim(name)
+    fixed = [c, c]
+    fixed[slot] = None
+    pre = prim.preimage(slot, fixed, -math.inf, math.inf, u)
+    if (name, slot) == ("div", 1):
+        assert pre is None
+        return
+
+    def fn(z):
+        args = [c, c]
+        args[slot] = z
+        return prim.fn(*args)
+
+    if pre.contains(x) != u.contains(fn(x)):
+        assert name in ("add", "sub", "mul", "div") and _at_an_end(fn, u, pre, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(["log", "neg_log", "exp", "sqrt", "cos", "chi[[0.1,0.6] + {2}]"]),
+       u=_interval_sets(_CLAMP_ENDS),
+       x=st.one_of(st.floats(-900.0, 900.0), st.floats(-1e-3, 1e-3)),
+       below=st.floats(0.0, 900.0), above=st.floats(0.0, 900.0))
+@example(name="cos", u=parse_interval_set("[0.9,1]"), x=0.5, below=0.5, above=0.5)
+def test_unary_table_preimages_hold_off_their_ends(name, u, x, below, above):
+    # through the table entry, with a finite range [lo, hi] holding x
+    prim = _prim(name)
+    pre = prim.preimage(0, [None], x - below, x + above, u)
+    if pre.contains(x) != u.contains(prim.fn(x)):
+        assert _at_an_end(prim.fn, u, pre, x)
 
 
 def test_cos_preimage_needs_a_range_of_few_pieces():

@@ -81,6 +81,13 @@ def test_named_primitive_call():
     assert t == Prim("log", (Numeral(0.5),))
 
 
+def test_named_binary_primitive_call():
+    assert parse_term("add(1, 2)") == parse_term("1 + 2")
+    for src in ("add(1)", "add", "add + 1"):
+        with pytest.raises(ParseError):
+            parse_term(src)
+
+
 def test_primitive_name_cannot_be_bound():
     with pytest.raises(ParseError):
         parse_term("fun log : real -> log")
@@ -94,6 +101,18 @@ def test_negative_literal():
 def test_scientific_literals():
     assert parse_term("1e-3") == Numeral(0.001)
     assert parse_term("2.5e2") == Numeral(250.0)
+
+
+def test_unreadable_numerals_are_parse_errors_at_their_token():
+    for src, col in (("1e400", 1), ("(-1e400)", 3), ("1 + ²", 5),
+                     ("#expectation(²) (fun x : real -> x) sample", 14)):
+        with pytest.raises(ParseError) as err:
+            parse_term(src)
+        assert (err.value.line, err.value.col) == (1, col), src
+
+
+def test_decimal_digits_of_other_scripts_still_parse():
+    assert parse_term("1 + ٣") == parse_term("1 + 3")
 
 
 def test_comments():
