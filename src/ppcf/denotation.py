@@ -6,11 +6,11 @@ environment is a dict from names to meanings.  The only observables are
 ground masses, so function values are never compared.
 
 A ``let`` whose body compiles to a float function (``compile_deterministic``)
-denotes the pushforward of its bound measure along the body, and one
-builder makes it.  It walks up to three independent lets,
-``let x = M in let y = N in P`` with ``x`` not free in ``N``, and takes the
-longest chain whose body compiles: one pushforward of the product of the
-bound measures along ``P``, the commutativity of the measure semantics.
+denotes the pushforward of its bound measure along the body.  Two
+independent lets, ``let x = M in let y = N in P`` with ``x`` not free in
+``N``, fuse into one pushforward of the product of ``M`` and ``N`` along
+``P``: by the commutativity of the measure semantics, the let-integral
+over ``M`` it replaces, bit for bit.  A third let nests.
 The body is compiled once and also inverted: where the last input is used
 once, through a chain of primitives with preimages, a mass query pulls
 the set back through the chain to an interval set of that input, whatever
@@ -18,10 +18,9 @@ jumps the body makes in the other inputs.  The other arguments along the
 chain are evaluated at the outer inputs' values, and a forward pass of
 interval ranges, from the ``hull()`` of the last bound measure, gives
 each primitive's preimage the range of its free slot; ``cos`` splits it
-into monotone pieces.  The outer inputs are
-integrated with the ``MASS_REFINE`` pre-split of the ``let``-integral
-the fused pushforward replaces.  Any other body falls back to
-quadrature.
+into monotone pieces.  The outer input is integrated with the
+``MASS_REFINE`` pre-split of the let-integral.  Any other body falls back
+to quadrature.
 
 A ground ``fix (fun y : real -> M)`` whose ``y`` occurs in ``M`` only in
 tail position (``M`` itself, an ``ifz`` branch, a ``let`` body) is solved
@@ -248,38 +247,26 @@ def _let_pushforward(t: Let, first: Measure, env: dict, table: PrimitiveTable,
                      ground) -> Measure | None:
     """The pushforward a ``let`` denotes when its body compiles, else None.
 
-    ``let x = M in let y = N in P`` with x not free in N is one pushforward
-    of the product of the bound measures along P compiled in (x, y).  Of
-    the chains of up to three such lets (the DimensionLimit), the longest
-    whose body compiles is taken, and one of two or more only when all its
-    bounds carry continuous mass (atom-only bounds mix exactly already,
-    and unfused they keep their bits).
-
-    `ground` interprets a later bound in `env`.  A mass query resolves the
-    last input by preimage, the one ``PushforwardMeasure`` asks for (every
-    fused bound is continuous), and integrates the others; where the body
-    cannot be inverted on it, the query falls back to quadrature.
+    ``let x = M in let y = N in P`` with x not free in N, N not compiling
+    and both bounds continuous is one pushforward of M and N along P
+    compiled in (x, y); any other ``let`` whose body compiles in (x,) is
+    one of M.  `ground` interprets N in `env`.  A mass query resolves the
+    last input by preimage, integrating M with the let-integral's
+    ``MASS_REFINE`` pre-split, or falls back to quadrature.
     """
-    # only a continuous first bound starts a chain of two or more
-    names, bounds, bodies = [t.name], [first], [t.body]
-    while (first.has_continuous and isinstance(bodies[-1], Let) and len(names) < 3
-           and not free_vars(bodies[-1].bound) & set(names)):
-        names.append(bodies[-1].name)
-        bodies.append(bodies[-1].body)
-    for k in range(len(names), 0, -1):
-        f = compile_deterministic(bodies[k - 1], tuple(names[:k]), env, table)
-        if f is None:
-            continue
-        while len(bounds) < k:
-            bounds.append(ground(bodies[len(bounds) - 1].bound))
-        if all(m.has_continuous for m in bounds[1:k]):
-            break
-    else:
+    names, bounds, body = (t.name,), [first], t.body
+    f = compile_deterministic(body, names, env, table)
+    if (f is None and first.has_continuous and isinstance(body, Let)
+            and t.name not in free_vars(body.bound)):
+        # where P compiles in (x, y), N does not, or the body would have
+        names, body = (t.name, body.name), body.body
+        f = compile_deterministic(body, names, env, table)
+        if f is not None:
+            bounds.append(ground(t.body.bound))
+    # an atom-only N mixes exactly unfused
+    if f is None or not all(m.has_continuous for m in bounds[1:]):
         return None
-    names = tuple(names[:k])
-    steps = _invert_on(bodies[k - 1], names[-1], names, env, table)
-    if steps is None:
-        return pushforward(Primitive("let", k, f), bounds[:k])
+    steps = _invert_on(body, names[-1], names, env, table)
 
     def preimage(i, fixed, lo, hi, target):
         values = tuple(fixed)
@@ -294,8 +281,8 @@ def _let_pushforward(t: Let, first: Measure, env: dict, table: PrimitiveTable,
                 return None
         return target
 
-    # the outer inputs keep the pre-split of the let-integral over them
-    return pushforward(Primitive("let", k, f, preimage), bounds[:k], MASS_REFINE)
+    return pushforward(Primitive("let", len(names), f, None if steps is None else preimage),
+                       bounds, MASS_REFINE)
 
 
 def _invert_on(t: Term, name: str, names: tuple[str, ...], env: dict, table: PrimitiveTable):

@@ -79,14 +79,6 @@ class IntervalSet:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def empty() -> "IntervalSet":
-        return _EMPTY
-
-    @staticmethod
-    def full_line() -> "IntervalSet":
-        return _FULL
-
-    @staticmethod
     def point(x: float) -> "IntervalSet":
         return IntervalSet([Interval(x, x, True, True)])
 
@@ -234,10 +226,8 @@ def _normalize(pieces) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-_EMPTY = object.__new__(IntervalSet)
-_EMPTY.pieces = ()
-_FULL = object.__new__(IntervalSet)
-_FULL.pieces = (Interval(-INF, INF, False, False),)
+EMPTY = IntervalSet()
+FULL_LINE = IntervalSet([Interval(-INF, INF, False, False)])
 
 
 # -- text format ---------------------------------------------------------
@@ -312,6 +302,3 @@ def format_interval_set(s: IntervalSet) -> str:
             parts.append(f"{lbr}{_fmt_num(p.lo)},{_fmt_num(p.hi)}{rbr}")
     return " + ".join(parts)
 
-
-FULL_LINE = IntervalSet.full_line()
-EMPTY = IntervalSet.empty()

@@ -130,12 +130,33 @@ def _boolean_preimage(true_set: IntervalSet, target: IntervalSet) -> IntervalSet
     return out
 
 
+_PAST_MAXREAL = IntervalSet.interval(MAXREAL, math.inf, False, False)
+_PAST_MINUS_MAXREAL = IntervalSet.interval(-math.inf, -MAXREAL, False, False)
+
+
+def _unsaturated(target: IntervalSet) -> IntervalSet:
+    """The unclamped results y with ``_finite(y)`` in U: the ray past each
+    of +-MAXREAL goes with its end.  U itself where each ray already does
+    (only an end piece reaches past MAXREAL, and it then holds the ray)."""
+    pieces = target.pieces
+    if not pieces:
+        return target
+    top, bottom = target.contains(MAXREAL), target.contains(-MAXREAL)
+    if top != (pieces[-1].hi == math.inf):
+        target = target.union(_PAST_MAXREAL) if top else target.difference(_PAST_MAXREAL)
+    if bottom != (pieces[0].lo == -math.inf):
+        target = (target.union(_PAST_MINUS_MAXREAL) if bottom
+                  else target.difference(_PAST_MINUS_MAXREAL))
+    return target
+
+
 def _pre_add(i, fixed, lo, hi, target):
     c = fixed[1 - i]
-    return target.shift(-c)
+    return _unsaturated(target).shift(-c)
 
 
 def _pre_sub(i, fixed, lo, hi, target):
+    target = _unsaturated(target)
     if i == 0:  # x - c in U
         return target.shift(fixed[1])
     # c - x in U  <=>  x in c - U
@@ -148,8 +169,8 @@ def _pre_mul(i, fixed, lo, hi, target):
         return FULL_LINE if target.contains(0.0) else EMPTY
     inv = 1.0 / c
     if math.isinf(inv):  # subnormal c: scaling by inf would make 0 * inf a NaN
-        return target.divide(c)
-    return target.scale(inv)
+        return _unsaturated(target).divide(c)
+    return _unsaturated(target).scale(inv)
 
 
 def _pre_div(i, fixed, lo, hi, target):
@@ -158,15 +179,13 @@ def _pre_div(i, fixed, lo, hi, target):
     c = fixed[1]
     if c == 0.0:  # x / 0 := 0
         return FULL_LINE if target.contains(0.0) else EMPTY
-    return target.scale(c)
+    return _unsaturated(target).scale(c)
 
 
 _POSITIVE = IntervalSet.interval(0.0, math.inf, False, False)
 _NONPOSITIVE = IntervalSet.interval(-math.inf, 0.0, False, True)
-# exp(x) underflows to 0 below the log of half the least subnormal, and
-# overflows (saturating to MAXREAL) above log(MAXREAL)
+# exp(x) underflows to 0 below the log of half the least subnormal
 _EXP_ZERO = IntervalSet.interval(-math.inf, math.log(5e-324) - math.log(2.0), False, False)
-_EXP_SATURATED = IntervalSet.interval(math.log(MAXREAL), math.inf, False, False)
 
 
 def _exp_or_inf(u):
@@ -199,13 +218,11 @@ def _pre_sqrt(i, fixed, lo, hi, target):
 
 
 def _pre_exp(i, fixed, lo, hi, target):
-    # off the clamped regions, where exp is 0 or MAXREAL whatever U's ends
-    out = target.intersect(_POSITIVE).image(_log_or_minus_inf, True)
-    out = out.difference(_EXP_ZERO).difference(_EXP_SATURATED)
+    # off the underflow, where exp is 0 whatever U's ends
+    out = _unsaturated(target).intersect(_POSITIVE).image(_log_or_minus_inf, True)
+    out = out.difference(_EXP_ZERO)
     if target.contains(0.0):
         out = out.union(_EXP_ZERO)
-    if target.contains(MAXREAL):
-        out = out.union(_EXP_SATURATED)
     return out
 
 

@@ -168,8 +168,8 @@ def _fitting_tuples(incs, fits, cap, length: int):
 
 
 def _signed_sums(f: PointFn, x: Point, us, memo: dict) -> tuple[float, float]:
-    """(D-, D+) of `delta_signed` in one pass, f memoised by point."""
-    _check_cube(f, x, us)
+    """(D-, D+) of `delta_signed` in one pass, f memoised by point; its
+    callers build only tuples that fit in lattice units, so it checks none."""
     n = len(us)
     d_minus = d_plus = 0.0
     for size in range(n + 1):
