@@ -228,7 +228,7 @@ def stability_cmd(target, fn_expr, n, grid, slack, fn_arity):
     else:
         fn = _point_fn_from_expr(target, fn_arity)
     report = check_pre_stable(fn, n, grid, slack)
-    click.echo(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    click.echo(report.to_json())
     sys.exit(0 if report.passed else 1)
 
 

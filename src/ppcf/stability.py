@@ -16,14 +16,18 @@ to float accuracy, which is itself one of the checks the test suite runs.
 walk over non-decreasing increment indices that prunes every branch
 whose integer sum on some axis passes the grid, so exactly the tuples
 that fit in the cube are built, in `combinations_with_replacement`
-order.  It then sums D- and D+ in one pass per tuple, in
-`delta_signed`'s order of additions, and evaluates f once per distinct
-point of a report (f is pure).
+order.  It sums D- and D+ in one pass per tuple, from a subset table
+built once per length and in `delta_signed`'s order of additions, and
+evaluates f once per distinct point of a report (f is pure).
+`StabilityReport.to_json` writes what `json`'s indenting encoder, which
+runs in Python, would write, calling it on the report's head only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
 import random
 from bisect import bisect_left
@@ -69,25 +73,33 @@ class StabilityReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "grid": self.grid,
-            "slack": self.slack,
-            "checked": self.checked,
-            "exhaustive": self.exhaustive,
-            "verdict": "pass" if self.passed else "fail",
-            "violations": [
-                {
-                    "x": list(v.x),
-                    "increments": [list(u) for u in v.increments],
-                    "delta_minus": v.delta_minus,
-                    "delta_plus": v.delta_plus,
-                }
-                for v in self.violations
-            ],
-        }
+    def to_json(self) -> str:
+        """`json.dumps(..., sort_keys=True, indent=2)` of the report; each point is written once."""
+        head = json.dumps({**vars(self), "verdict": "pass" if self.passed else "fail",
+                           "violations": []}, sort_keys=True, indent=2)
+        texts: dict[tuple[int, int], str] = {}  # by identity and indent, as 0.0 == -0.0
+
+        def point(p: Point, pad: int) -> str:
+            if (id(p), pad) not in texts:
+                texts[id(p), pad] = _json_list([_json_float(c) for c in p], pad)
+            return texts[id(p), pad]
+
+        rows = [f'{{\n      "delta_minus": {_json_float(v.delta_minus)},'
+                f'\n      "delta_plus": {_json_float(v.delta_plus)},'
+                f'\n      "increments": {_json_list([point(u, 10) for u in v.increments], 8)},'
+                f'\n      "x": {point(v.x, 8)}\n    }}' for v in self.violations]
+        return head[:-len("[]\n}")] + _json_list(rows, 4) + "\n}"
+
+
+def _json_float(v: float) -> str:
+    return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _json_list(items: list[str], pad: int) -> str:
+    """Written `items` as an indent-2 JSON list, one item a line at `pad` spaces."""
+    if not items:
+        return "[]"
+    return "[\n" + " " * pad + (",\n" + " " * pad).join(items) + "\n" + " " * (pad - 2) + "]"
 
 
 def _check_cube(f: PointFn, x: Point, us: tuple[Point, ...]) -> None:
@@ -167,22 +179,30 @@ def _fitting_tuples(incs, fits, cap, length: int):
     return walk(0, cap, ())
 
 
+@functools.cache
+def _subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(odd complement parity, subset) per subset of range(n), in `delta_signed`'s order."""
+    return tuple(((n - size) % 2, s)
+                 for size in range(n + 1) for s in itertools.combinations(range(n), size))
+
+
 def _signed_sums(f: PointFn, x: Point, us, memo: dict) -> tuple[float, float]:
-    """(D-, D+) of `delta_signed` in one pass, f memoised by point; its
-    callers build only tuples that fit in lattice units, so it checks none."""
-    n = len(us)
+    """(D-, D+) of `delta_signed` in one pass, each point added as `_offset` adds it and f
+    memoised by point; callers build only tuples that fit in lattice units, so it checks none."""
     d_minus = d_plus = 0.0
-    for size in range(n + 1):
-        odd = (n - size) % 2
-        for subset in itertools.combinations(range(n), size):
-            point = _offset(x, us, subset)
-            value = memo.get(point)
-            if value is None:
-                value = memo[point] = f(point)
-            if odd:
-                d_minus += value
-            else:
-                d_plus += value
+    for odd, subset in _subsets(len(us)):
+        out = list(x)
+        for i in subset:
+            for axis, c in enumerate(us[i]):
+                out[axis] += c
+        point = tuple([1.0 if c > 1.0 else c for c in out])
+        value = memo.get(point)
+        if value is None:
+            value = memo[point] = f(point)
+        if odd:
+            d_minus += value
+        else:
+            d_plus += value
     return d_minus, d_plus
 
 

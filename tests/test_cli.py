@@ -239,6 +239,9 @@ _BILINEAR = "0.5 * x1 + 0.25 * x2 {} 0.75 * x1 * x2"
 _GOLDEN_STABILITY = [
     (["wpor", "--n", "1", "--grid", "7"], 1,
      "70f0a2bf5206f0b8f9b71422442de8c4b148ef24e5bba553b5944db1bb7f2bdd"),
+    # the largest report the benchmark writes: 2.79 MB, 11,000 violations
+    (["wpor", "--n", "1", "--grid", "8"], 1,
+     "b934edc6b3ce560bb4cc3ee1d212ae5733feede1c7e1134d33728d3874630189"),
     (["wpor", "--n", "2", "--grid", "5"], 1,
      "ca9043d3bd1eed422a5239674dba516aa35dd3a88aae1453f18857a848d0705f"),
     (["--fn", _BILINEAR.format("+"), "--fn-arity", "2", "--n", "1", "--grid", "5"], 0,

@@ -1,15 +1,19 @@
 import itertools
+import json
+import math
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppcf.stability
 from ppcf.stability import (
     DomainError,
     PointFn,
+    StabilityReport,
+    Violation,
     check_pre_stable,
     delta_signed,
     identity_fn,
@@ -197,10 +201,68 @@ def test_subsampled_beyond_exhaustive_bounds():
 
 
 def test_report_dict_shape():
-    d = check_pre_stable(W, n=1, grid=4).to_dict()
+    d = json.loads(check_pre_stable(W, n=1, grid=4).to_json())
     assert d["verdict"] == "fail"
     assert d["violations"]
     assert set(d["violations"][0]) == {"x", "increments", "delta_minus", "delta_plus"}
+
+
+def _spec(report: StabilityReport) -> dict:
+    """The report as a dict: `json.dumps(..., sort_keys=True, indent=2)` of
+    it is the specification of `StabilityReport.to_json`."""
+    return {
+        "label": report.label,
+        "n": report.n,
+        "grid": report.grid,
+        "slack": report.slack,
+        "checked": report.checked,
+        "exhaustive": report.exhaustive,
+        "verdict": "pass" if report.passed else "fail",
+        "violations": [
+            {
+                "x": list(v.x),
+                "increments": [list(u) for u in v.increments],
+                "delta_minus": v.delta_minus,
+                "delta_plus": v.delta_plus,
+            }
+            for v in report.violations
+        ],
+    }
+
+
+_MAXREAL = 1.7976931348623157e308
+_EDGE_FLOAT = st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 0.125, 1.0, _MAXREAL, -_MAXREAL, math.inf, -math.inf, math.nan))
+_ANY_FLOAT = st.one_of(_EDGE_FLOAT, st.floats())
+_LABEL = st.one_of(st.sampled_from(('wpor', 'a "quoted" \\ label', "tab\tnew\nline\x00\x1f\x7f",
+                                     "\u00fcber \u2202 \U0001f600")), st.text())
+
+
+@st.composite
+def _reports(draw):
+    k = draw(st.integers(1, 3))
+    # violations draw their points from a small pool, so that they share
+    # tuples as check_pre_stable's do
+    pool = draw(st.lists(st.tuples(*[_ANY_FLOAT] * k), min_size=1, max_size=6))
+    point = st.sampled_from(pool)
+    violations = draw(st.lists(
+        st.builds(Violation, point, st.lists(point, min_size=1, max_size=4).map(tuple),
+                  _ANY_FLOAT, _ANY_FLOAT),
+        max_size=5))
+    return StabilityReport(draw(_LABEL), draw(st.integers(0, 9)), draw(st.integers(2, 64)),
+                           draw(_ANY_FLOAT), draw(st.integers(0, 10**6)), draw(st.booleans()),
+                           tuple(violations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_reports())
+# equal points whose zeros differ in sign are written differently
+@example(report=StabilityReport("zeros", 1, 4, 1e-9, 2, True, (
+    Violation((0.0, 0.5), ((0.25, -0.0),), 1.0, 0.5),
+    Violation((-0.0, 0.5), ((0.25, 0.0),), math.nan, -math.inf),
+)))
+def test_report_json_is_the_indenting_encoders(report):
+    assert report.to_json() == json.dumps(_spec(report), sort_keys=True, indent=2)
 
 
 def test_grid_and_order_validation():
