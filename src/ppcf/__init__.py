@@ -22,7 +22,6 @@ from .intervals import IntervalSet, format_interval_set, parse_interval_set
 from .measure import (
     Atom,
     ConcreteMeasure,
-    DimensionLimit,
     IntegralMeasure,
     Measure,
     PushforwardMeasure,

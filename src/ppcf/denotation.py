@@ -5,22 +5,22 @@ Ground-type meanings are ``Measure``s; arrow-type meanings are
 environment is a dict from names to meanings.  The only observables are
 ground masses, so function values are never compared.
 
-A ``let`` whose body compiles to a float function (``compile_deterministic``)
-denotes the pushforward of its bound measure along the body.  Two
-independent lets, ``let x = M in let y = N in P`` with ``x`` not free in
-``N``, fuse into one pushforward of the product of ``M`` and ``N`` along
-``P``: by the commutativity of the measure semantics, the let-integral
-over ``M`` it replaces, bit for bit.  A third let nests.
-The body is compiled once and also inverted: where the last input is used
-once, through a chain of primitives with preimages, a mass query pulls
-the set back through the chain to an interval set of that input, whatever
-jumps the body makes in the other inputs.  The other arguments along the
-chain are evaluated at the outer inputs' values, and a forward pass of
-interval ranges, from the ``hull()`` of the last bound measure, gives
-each primitive's preimage the range of its free slot; ``cos`` splits it
-into monotone pieces.  The outer input is integrated with the
-``MASS_REFINE`` pre-split of the let-integral.  Any other body falls back
-to quadrature.
+A ``let`` whose body is deterministic denotes the pushforward of its
+bound measure along the body, lowered once to straight-line code
+(``_lower``), the code ``compile_deterministic`` runs.  Two independent
+lets, ``let x = M in let y = N in P`` with ``x`` not free in ``N``, fuse
+into one pushforward of the product of ``M`` and ``N`` along ``P``: by
+the commutativity of the measure semantics, the let-integral over ``M``
+it replaces, bit for bit.  A third let nests.
+The same code is inverted: where the last input reaches the value
+through one path of primitives with preimages, each using it once (a
+``let`` only names a slot), a mass query pulls the set back along the
+path to an interval set of that input, whatever jumps the body makes in
+the other inputs.  The other slots are evaluated at the outer inputs'
+values, and interval ranges carried forward from the ``hull()`` of the
+last bound measure give each preimage the range of its free slot.  The
+outer input is integrated with the let-integral's ``MASS_REFINE``
+pre-split.  Any other body falls back to quadrature.
 
 A ground ``fix (fun y : real -> M)`` whose ``y`` occurs in ``M`` only in
 tail position (``M`` itself, an ``ifz`` branch, a ``let`` body) is solved
@@ -72,6 +72,7 @@ from .terms import (
 
 _ZERO_SET = IntervalSet.point(0.0)
 _NONZERO_SET = _ZERO_SET.complement()
+_SELECT = Primitive("ifz", 3, lambda c, then, otherwise: then if c == 0.0 else otherwise)
 
 
 @dataclass(frozen=True)
@@ -181,98 +182,118 @@ def _ground(v) -> Measure:
     return v
 
 
-def _unit_atom(m) -> float | None:
-    if isinstance(m, ConcreteMeasure) and not m.lebesgue and len(m.atoms) == 1:
-        atom = m.atoms[0]
-        if atom.weight == 1.0:
-            return atom.location
-    return None
-
-
 def compile_deterministic(t: Term, inputs: tuple[str, ...], env: dict | None = None,
                           table: PrimitiveTable = DEFAULT_TABLE):
     """Compile a deterministic first-order ground term to a float function.
 
-    The function takes one float per name in `inputs` and makes the same
-    primitive calls on the same floats as reducing the term with those
-    numerals substituted, so the two agree bit for bit.  Other free
-    variables must be unit Diracs in `env`.  Returns None on ``sample``,
-    ``fun``, application or ``fix``.  A ``let`` body pushes its bound
-    measure forward along it, and ``ppcf stability --fn`` checks it.
+    The function takes one float per name in `inputs` and gives the same
+    value, bit for bit, as reducing the term with those numerals
+    substituted.  Other free variables must be unit Diracs in `env`.
+    Returns None on ``sample``, ``fun``, application or ``fix``.  A ``let``
+    pushforward runs the same code, and ``ppcf stability --fn`` checks it.
     """
-    g = _compile(t, inputs, {} if env is None else env, table)
-    return None if g is None else lambda *xs: g(xs)
+    code, out = _lower(t, inputs, {} if env is None else env, table)
+    return None if out is None else lambda *xs: _run(code, xs)[out]
 
 
-def _compile(t: Term, names: tuple[str, ...], env: dict, table: PrimitiveTable):
-    """A closure on the tuple of values of `names`, or None."""
-    match t:
-        case Numeral(value):
-            return lambda _a: value
-        case Var(name):
-            if name in names:
-                index = len(names) - 1 - names[::-1].index(name)
-                return lambda a: a[index]
-            location = _unit_atom(env.get(name))
-            return None if location is None else lambda _a: location
-        case Prim(op, args):
-            compiled = [_compile(a, names, env, table) for a in args]
-            if any(c is None for c in compiled):
+def _lower(t: Term, inputs: tuple[str, ...], env: dict, table: PrimitiveTable):
+    """Lower `t` to straight-line code: (code, slot of the value or None).
+
+    The first slots are the inputs, (None, None); each later one is
+    (primitive, argument slots) or (None, constant).  A ``let`` names its
+    bound's slot.  An ``ifz`` selects between both branches' slots: every
+    primitive is total and pure, so the value is the same.
+    """
+    code = [(None, None)] * len(inputs)
+
+    def lower(t: Term, scope: dict):
+        match t:
+            case Numeral(value):
+                code.append((None, value))
+                return len(code) - 1
+            case Var(name) if name in scope:
+                return scope[name]
+            case Var(name):  # a unit Dirac in `env` is a constant
+                m = env.get(name)
+                if (isinstance(m, ConcreteMeasure) and not m.lebesgue
+                        and len(m.atoms) == 1 and m.atoms[0].weight == 1.0):
+                    return lower(Numeral(m.atoms[0].location), scope)
                 return None
-            fn = table.lookup(op).fn
-            if len(compiled) == 1:
-                g0 = compiled[0]
-                return lambda a: fn(g0(a))
-            if len(compiled) == 2:
-                g0, g1 = compiled
-                return lambda a: fn(g0(a), g1(a))
-            return lambda a: fn(*[g(a) for g in compiled])
-        case Ifz(scrutinee, then, otherwise):
-            gs = _compile(scrutinee, names, env, table)
-            gt = _compile(then, names, env, table)
-            ge = _compile(otherwise, names, env, table)
-            if gs is None or gt is None or ge is None:
+            case Prim(op, args):
+                prim = table.lookup(op)
+            case Ifz(scrutinee, then, otherwise):
+                prim, args = _SELECT, (scrutinee, then, otherwise)
+            case Let(name, bound, body):
+                slot = lower(bound, scope)
+                return None if slot is None else lower(body, {**scope, name: slot})
+            case _:
                 return None
-            return lambda a: gt(a) if gs(a) == 0.0 else ge(a)
-        case Let(name, bound, body):
-            gb = _compile(bound, names, env, table)
-            gbody = _compile(body, names + (name,), env, table)
-            if gb is None or gbody is None:
-                return None
-            return lambda a: gbody(a + (gb(a),))
-    return None
+        slots = tuple(lower(a, scope) for a in args)
+        if None in slots:
+            return None
+        code.append((prim, slots))
+        return len(code) - 1
+
+    return code, lower(t, {name: i for i, name in enumerate(inputs)})
+
+
+def _run(code: list, xs, skip=()) -> list:
+    """The value of every slot at inputs `xs`, None at the slots in `skip`."""
+    values = list(xs)
+    for i in range(len(values), len(code)):
+        prim, arg = code[i]
+        values.append(None if i in skip else arg if prim is None
+                      else prim.fn(*[values[j] for j in arg]))
+    return values
+
+
+def _chain(code: list, out: int, k: int):
+    """The steps (primitive, position, argument slots) from slot `out` down
+    to input `k`, and the slots that depend on `k`; None unless each step
+    uses `k` through one argument and has a preimage (``ifz`` has none)."""
+    marked = {k}
+    for i, (prim, args) in enumerate(code):
+        if prim is not None and not marked.isdisjoint(args):
+            marked.add(i)
+    steps = []
+    while out in marked and out != k:
+        prim, args = code[out]
+        on = [p for p, j in enumerate(args) if j in marked]
+        if len(on) != 1 or prim.preimage is None:
+            return None
+        steps.append((prim, on[0], args))
+        out = args[on[0]]
+    return (steps, marked) if out == k else None
 
 
 def _let_pushforward(t: Let, first: Measure, env: dict, table: PrimitiveTable,
                      ground) -> Measure | None:
-    """The pushforward a ``let`` denotes when its body compiles, else None.
+    """The pushforward a ``let`` denotes when its body lowers, else None.
 
-    ``let x = M in let y = N in P`` with x not free in N, N not compiling
+    ``let x = M in let y = N in P`` with x not free in N, N not lowering
     and both bounds continuous is one pushforward of M and N along P
-    compiled in (x, y); any other ``let`` whose body compiles in (x,) is
-    one of M.  `ground` interprets N in `env`.  A mass query resolves the
-    last input by preimage, integrating M with the let-integral's
-    ``MASS_REFINE`` pre-split, or falls back to quadrature.
+    lowered in (x, y); any other ``let`` whose body lowers in (x,) is
+    one of M.  `ground` interprets N in `env`.
     """
     names, bounds, body = (t.name,), [first], t.body
-    f = compile_deterministic(body, names, env, table)
-    if (f is None and first.has_continuous and isinstance(body, Let)
+    code, out = _lower(body, names, env, table)
+    if (out is None and first.has_continuous and isinstance(body, Let)
             and t.name not in free_vars(body.bound)):
-        # where P compiles in (x, y), N does not, or the body would have
+        # where P lowers in (x, y), N does not, or the body would have
         names, body = (t.name, body.name), body.body
-        f = compile_deterministic(body, names, env, table)
-        if f is not None:
+        code, out = _lower(body, names, env, table)
+        if out is not None:
             bounds.append(ground(t.body.bound))
     # an atom-only N mixes exactly unfused
-    if f is None or not all(m.has_continuous for m in bounds[1:]):
+    if out is None or not all(m.has_continuous for m in bounds[1:]):
         return None
-    steps = _invert_on(body, names[-1], names, env, table)
+    steps, marked = _chain(code, out, len(names) - 1) or (None, None)
 
     def preimage(i, fixed, lo, hi, target):
-        values = tuple(fixed)
+        values = _run(code, fixed, marked)  # None wherever input k reaches
         frames = []
-        for prim, slot, siblings in reversed(steps):  # forward, from the input
-            args = [None if g is None else g(values) for g in siblings]
+        for prim, slot, arg_slots in reversed(steps):  # forward, from the input
+            args = [values[j] for j in arg_slots]
             frames.append((prim, slot, args, lo, hi))
             lo, hi = range_image(prim, slot, args, lo, hi)
         for prim, slot, args, lo, hi in reversed(frames):  # backward, from the result
@@ -281,31 +302,9 @@ def _let_pushforward(t: Let, first: Measure, env: dict, table: PrimitiveTable,
                 return None
         return target
 
-    return pushforward(Primitive("let", len(names), f, None if steps is None else preimage),
+    return pushforward(Primitive("let", len(names), lambda *xs: _run(code, xs)[out],
+                                 None if steps is None else preimage),
                        bounds, MASS_REFINE)
-
-
-def _invert_on(t: Term, name: str, names: tuple[str, ...], env: dict, table: PrimitiveTable):
-    """The primitives on the path from `t` down to its one use of `name`.
-
-    Each step is (primitive, slot, closures of the other arguments over
-    the inputs, None at the slot).  None when `name` is used more or less
-    than once, below an ``ifz`` or a ``let``, or through a primitive
-    without a preimage.
-    """
-    steps = []
-    while not (isinstance(t, Var) and t.name == name):
-        if not isinstance(t, Prim):
-            return None
-        slots = [k for k, a in enumerate(t.args) if name in free_vars(a)]
-        prim = table.lookup(t.op)
-        if len(slots) != 1 or prim.preimage is None:
-            return None
-        slot = slots[0]
-        steps.append((prim, slot, [None if k == slot else _compile(a, names, env, table)
-                                   for k, a in enumerate(t.args)]))
-        t = t.args[slot]
-    return steps
 
 
 def let_bind(bound: Measure, body) -> Measure:

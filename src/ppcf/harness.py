@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .denotation import FixConfig, NonConvergent, interpret
 from .intervals import IntervalSet, format_interval_set
-from .measure import DimensionLimit
 from .parser import SourceProgram, format_type
 from .primitives import DEFAULT_TABLE, PrimitiveTable
 from .quadrature import DEFAULT_QUADRATURE, QuadratureFailure
@@ -113,7 +112,7 @@ class AdequacyReport:
         return out.getvalue()
 
 
-_DENOTATION_ERRORS = (NonConvergent, QuadratureFailure, DimensionLimit)
+_DENOTATION_ERRORS = (NonConvergent, QuadratureFailure)
 
 
 def denotational_masses(term: Term, intervals, *, fix: FixConfig,

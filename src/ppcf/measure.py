@@ -37,10 +37,6 @@ from .primitives import Primitive
 from .quadrature import integrate_adaptive
 
 
-class DimensionLimit(Exception):
-    """More than three pushforward arguments carry continuous mass."""
-
-
 @dataclass(frozen=True)
 class Atom:
     location: float
@@ -188,11 +184,6 @@ class PushforwardMeasure(_Memoized):
         self.outer_refine = outer_refine
         if len(self.args) != prim.arity:
             raise ValueError(f"{prim.name} expects {prim.arity} arguments")
-        continuous = sum(1 for a in self.args if a.has_continuous)
-        if continuous > 3:
-            raise DimensionLimit(
-                f"pushforward of {prim.name} has {continuous} continuous dimensions"
-            )
 
     def _compute_mass(self, u: IntervalSet) -> float:
         continuous = [j for j, a in enumerate(self.args) if a.has_continuous]
@@ -232,10 +223,7 @@ class PushforwardMeasure(_Memoized):
 
             def with_value(v: float) -> float:
                 values[i] = v
-                try:
-                    return rec(k + 1)
-                finally:
-                    values[i] = None
+                return rec(k + 1)
 
             return self.args[i].integrate(with_value, refine)
 

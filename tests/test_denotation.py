@@ -497,6 +497,29 @@ def test_fused_lets_equal_the_let_integral_bit_for_bit(body, m, n, t, ends):
         assert _mass_or_error(fused, u) == _mass_or_error(nested, u)
 
 
+def _named_example(e, p):
+    return example(e=parse_term(e), p=parse_term(p))
+
+
+# a ground let is the Kleisli extension of the measure monad, so naming a
+# deterministic intermediate denotes what substituting it does, bit for bit
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(e=deterministic_terms(("x", "y"), depth=2),
+       p=deterministic_terms(("x", "y", "z"), depth=2))
+@_named_example("x + y", "z * 0.5")
+@_named_example("cos(6.28 * y)", "x * z")
+@_named_example("y", "z * z")
+@_named_example("y + 1", "x * y")  # unused, yet it depends on the inverted input
+def test_named_intermediate_is_the_inline_expression(e, p):
+    def under_samples(body):
+        return Let("x", SAMPLE, Let("y", SAMPLE, body))
+
+    named = interpret(under_samples(Let("z", e, p)))
+    inline = interpret(under_samples(substitute(p, "z", e)))
+    for u in (parse_interval_set("(-inf,0.3]"), IntervalSet.closed(0.2, 0.9)):
+        assert _mass_or_error(named, u) == _mass_or_error(inline, u)
+
+
 def test_dependent_lets_do_not_fuse():
     m = interpret(parse_term("let x = sample in let y = x + sample in y * y"))
     assert isinstance(m, IntegralMeasure)
@@ -516,6 +539,7 @@ def _without_preimages():
     ("#exponential", cdf_grid(0.5, 2.0, 2)),
     ("let x = sample in let y = sample in x + y", cdf_grid(0.3, 1.2, 2)),
     ("let x = sample in let y = sample in x * y", cdf_grid(0.2, 0.7, 2)),
+    ("let x = sample in let y = sample in let s = x + y in s * 0.5", cdf_grid(0.1, 0.9, 2)),
 ])
 def test_preimage_path_matches_quadrature_fallback(src, grid):
     fast = interpret(parse_term(src))
@@ -528,6 +552,9 @@ def test_preimage_path_matches_quadrature_fallback(src, grid):
 # on their inner input keep the quadrature's bits, and so does the last one
 _NON_INVERTIBLE = [
     ("let x = sample in x * x",
+     ("0x1.43d136248490fp-2", "0x1.6a09e667f3bccp-1", "0x1.27df395045d0ap-2")),
+    # an alias shares its input as the inline spelling does: not inverted
+    ("let x = sample in let z = x in z * z",
      ("0x1.43d136248490fp-2", "0x1.6a09e667f3bccp-1", "0x1.27df395045d0ap-2")),
     ("let x = sample in ifz x <= 0.5 then x else 1 - x",
      ("0x0.0p+0", "0x1.0000000000000p-53", "0x1.999999999999ap-2")),

@@ -8,7 +8,6 @@ from ppcf.intervals import FULL_LINE, IntervalSet, parse_interval_set
 from ppcf.measure import (
     Atom,
     ConcreteMeasure,
-    DimensionLimit,
     IntegralMeasure,
     WeightedSumMeasure,
     dirac,
@@ -117,16 +116,6 @@ def test_pushforward_neg_log_exponential():
     m = pushforward(_prim("neg_log"), [lebesgue_unit()])
     got = m.mass(IntervalSet.closed(0.0, 1.0))
     assert abs(got - (1.0 - math.exp(-1.0))) < 1e-9
-
-
-def test_pushforward_dimension_limit():
-    from ppcf.primitives import Primitive
-
-    sum4 = Primitive("sum4", 4, lambda a, b, c, d: a + b + c + d)
-    u = lebesgue_unit()
-    assert pushforward(sum4, [u, u, u, dirac(0.0)]).total_mass() > 0  # 3 ok
-    with pytest.raises(DimensionLimit):
-        pushforward(sum4, [u, u, u, u])
 
 
 def test_pushforward_arity_checked():
