@@ -11,7 +11,6 @@ from .denotation import (
     FixConfig,
     NonConvergent,
     SemFunction,
-    compile_deterministic,
     fixpoint,
     interpret,
     let_bind,
@@ -19,6 +18,7 @@ from .denotation import (
 )
 from .harness import AdequacyConfig, AdequacyReport, adequacy_check, cdf_grid
 from .intervals import IntervalSet, format_interval_set, parse_interval_set
+from .ir import compile_deterministic
 from .measure import (
     Atom,
     ConcreteMeasure,

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import click
 
-from .denotation import FixConfig, compile_deterministic, interpret
-from .harness import (AdequacyConfig, adequacy_check, cdf_grid, denotational_masses,
-                      require_ground)
+from .denotation import FixConfig, interpret
+from .harness import AdequacyConfig, adequacy_check, cdf_grid, require_ground
 from .intervals import FULL_LINE, IntervalSet, format_interval_set, parse_interval_set
+from .ir import compile_deterministic
 from .measure import ConcreteMeasure
 from .parser import ParseError, SourceProgram, format_type, parse, parse_term, pretty
 from .reduction import Exhausted, StuckNormal, Value, collect_outcomes
@@ -163,21 +163,10 @@ def denote_cmd(source, intervals, cdf):
     with _input_errors():
         term = _load_program(source).inlined_main()
         require_ground(term, typecheck({}, term))
-    fix = FixConfig()
-    if intervals is None and cdf is None:
-        measure = interpret(term, fix=fix)
-        queries = _default_denote_intervals(measure)
-        masses = [measure.mass(u) for u in queries]
-    else:
-        queries = _parse_intervals(intervals, cdf)
-        masses = denotational_masses(term, queries, fix=fix)
-        for m in masses:
-            if isinstance(m, Exception):
-                raise m
-    report = [
-        {"interval": format_interval_set(u), "mass": m}
-        for u, m in zip(queries, masses)
-    ]
+    queries = None if intervals is None and cdf is None else _parse_intervals(intervals, cdf)
+    measure = interpret(term, fix=FixConfig())
+    report = [{"interval": format_interval_set(u), "mass": measure.mass(u)}
+              for u in queries or _default_denote_intervals(measure)]
     click.echo(json.dumps(report, sort_keys=True, indent=2))
 
 

@@ -6,21 +6,16 @@ environment is a dict from names to meanings.  The only observables are
 ground masses, so function values are never compared.
 
 A ``let`` whose body is deterministic denotes the pushforward of its
-bound measure along the body, lowered once to straight-line code
-(``_lower``), the code ``compile_deterministic`` runs.  Two independent
-lets, ``let x = M in let y = N in P`` with ``x`` not free in ``N``, fuse
-into one pushforward of the product of ``M`` and ``N`` along ``P``: by
-the commutativity of the measure semantics, the let-integral over ``M``
-it replaces, bit for bit.  A third let nests.
-The same code is inverted: where the last input reaches the value
-through one path of primitives with preimages, each using it once (a
-``let`` only names a slot), a mass query pulls the set back along the
-path to an interval set of that input, whatever jumps the body makes in
-the other inputs.  The other slots are evaluated at the outer inputs'
-values, and interval ranges carried forward from the ``hull()`` of the
-last bound measure give each preimage the range of its free slot.  The
-outer input is integrated with the let-integral's ``MASS_REFINE``
-pre-split.  Any other body falls back to quadrature.
+bound measure along the body, lowered once and compiled to one
+straight-line function (see ``ir``).  Two independent lets, ``let x = M
+in let y = N in P`` with ``x`` not free in ``N``, fuse into one
+pushforward of the product of ``M`` and ``N`` along ``P``: by the
+commutativity of the measure semantics, the let-integral over ``M`` it
+replaces, bit for bit.  A third let nests.  Where the body inverts on
+its last input (``ir.preimage``), a mass query pulls the set back to an
+interval set of that input, from the ``hull()`` of the last bound
+measure, and integrates the outer input with the let-integral's
+``MASS_REFINE`` pre-split.  Any other body falls back to quadrature.
 
 A ground ``fix (fun y : real -> M)`` whose ``y`` occurs in ``M`` only in
 tail position (``M`` itself, an ``ifz`` branch, a ``let`` body) is solved
@@ -41,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import ir
 from .intervals import FULL_LINE, IntervalSet
 from .measure import (
     MASS_REFINE,
@@ -53,7 +49,7 @@ from .measure import (
     mix,
     pushforward,
 )
-from .primitives import DEFAULT_TABLE, Primitive, PrimitiveTable, range_image
+from .primitives import DEFAULT_TABLE, Primitive, PrimitiveTable
 from .terms import (
     REAL,
     Abs,
@@ -72,7 +68,6 @@ from .terms import (
 
 _ZERO_SET = IntervalSet.point(0.0)
 _NONZERO_SET = _ZERO_SET.complement()
-_SELECT = Primitive("ifz", 3, lambda c, then, otherwise: then if c == 0.0 else otherwise)
 
 
 @dataclass(frozen=True)
@@ -182,90 +177,6 @@ def _ground(v) -> Measure:
     return v
 
 
-def compile_deterministic(t: Term, inputs: tuple[str, ...], env: dict | None = None,
-                          table: PrimitiveTable = DEFAULT_TABLE):
-    """Compile a deterministic first-order ground term to a float function.
-
-    The function takes one float per name in `inputs` and gives the same
-    value, bit for bit, as reducing the term with those numerals
-    substituted.  Other free variables must be unit Diracs in `env`.
-    Returns None on ``sample``, ``fun``, application or ``fix``.  A ``let``
-    pushforward runs the same code, and ``ppcf stability --fn`` checks it.
-    """
-    code, out = _lower(t, inputs, {} if env is None else env, table)
-    return None if out is None else lambda *xs: _run(code, xs)[out]
-
-
-def _lower(t: Term, inputs: tuple[str, ...], env: dict, table: PrimitiveTable):
-    """Lower `t` to straight-line code: (code, slot of the value or None).
-
-    The first slots are the inputs, (None, None); each later one is
-    (primitive, argument slots) or (None, constant).  A ``let`` names its
-    bound's slot.  An ``ifz`` selects between both branches' slots: every
-    primitive is total and pure, so the value is the same.
-    """
-    code = [(None, None)] * len(inputs)
-
-    def lower(t: Term, scope: dict):
-        match t:
-            case Numeral(value):
-                code.append((None, value))
-                return len(code) - 1
-            case Var(name) if name in scope:
-                return scope[name]
-            case Var(name):  # a unit Dirac in `env` is a constant
-                m = env.get(name)
-                if (isinstance(m, ConcreteMeasure) and not m.lebesgue
-                        and len(m.atoms) == 1 and m.atoms[0].weight == 1.0):
-                    return lower(Numeral(m.atoms[0].location), scope)
-                return None
-            case Prim(op, args):
-                prim = table.lookup(op)
-            case Ifz(scrutinee, then, otherwise):
-                prim, args = _SELECT, (scrutinee, then, otherwise)
-            case Let(name, bound, body):
-                slot = lower(bound, scope)
-                return None if slot is None else lower(body, {**scope, name: slot})
-            case _:
-                return None
-        slots = tuple(lower(a, scope) for a in args)
-        if None in slots:
-            return None
-        code.append((prim, slots))
-        return len(code) - 1
-
-    return code, lower(t, {name: i for i, name in enumerate(inputs)})
-
-
-def _run(code: list, xs, skip=()) -> list:
-    """The value of every slot at inputs `xs`, None at the slots in `skip`."""
-    values = list(xs)
-    for i in range(len(values), len(code)):
-        prim, arg = code[i]
-        values.append(None if i in skip else arg if prim is None
-                      else prim.fn(*[values[j] for j in arg]))
-    return values
-
-
-def _chain(code: list, out: int, k: int):
-    """The steps (primitive, position, argument slots) from slot `out` down
-    to input `k`, and the slots that depend on `k`; None unless each step
-    uses `k` through one argument and has a preimage (``ifz`` has none)."""
-    marked = {k}
-    for i, (prim, args) in enumerate(code):
-        if prim is not None and not marked.isdisjoint(args):
-            marked.add(i)
-    steps = []
-    while out in marked and out != k:
-        prim, args = code[out]
-        on = [p for p, j in enumerate(args) if j in marked]
-        if len(on) != 1 or prim.preimage is None:
-            return None
-        steps.append((prim, on[0], args))
-        out = args[on[0]]
-    return (steps, marked) if out == k else None
-
-
 def _let_pushforward(t: Let, first: Measure, env: dict, table: PrimitiveTable,
                      ground) -> Measure | None:
     """The pushforward a ``let`` denotes when its body lowers, else None.
@@ -276,34 +187,19 @@ def _let_pushforward(t: Let, first: Measure, env: dict, table: PrimitiveTable,
     one of M.  `ground` interprets N in `env`.
     """
     names, bounds, body = (t.name,), [first], t.body
-    code, out = _lower(body, names, env, table)
+    code, out = ir.lower(body, names, env, table)
     if (out is None and first.has_continuous and isinstance(body, Let)
             and t.name not in free_vars(body.bound)):
         # where P lowers in (x, y), N does not, or the body would have
         names, body = (t.name, body.name), body.body
-        code, out = _lower(body, names, env, table)
+        code, out = ir.lower(body, names, env, table)
         if out is not None:
             bounds.append(ground(t.body.bound))
     # an atom-only N mixes exactly unfused
     if out is None or not all(m.has_continuous for m in bounds[1:]):
         return None
-    steps, marked = _chain(code, out, len(names) - 1) or (None, None)
-
-    def preimage(i, fixed, lo, hi, target):
-        values = _run(code, fixed, marked)  # None wherever input k reaches
-        frames = []
-        for prim, slot, arg_slots in reversed(steps):  # forward, from the input
-            args = [values[j] for j in arg_slots]
-            frames.append((prim, slot, args, lo, hi))
-            lo, hi = range_image(prim, slot, args, lo, hi)
-        for prim, slot, args, lo, hi in reversed(frames):  # backward, from the result
-            target = prim.preimage(slot, args, lo, hi, target)
-            if target is None:
-                return None
-        return target
-
-    return pushforward(Primitive("let", len(names), lambda *xs: _run(code, xs)[out],
-                                 None if steps is None else preimage),
+    n = len(names)
+    return pushforward(Primitive("let", n, ir.compile_code(code, n, out), ir.preimage(code, out, n)),
                        bounds, MASS_REFINE)
 
 

@@ -18,7 +18,7 @@ preimage is called as ``preimage(slot, values, lo, hi, U)`` with the
 ``hull()`` of the inner argument for ``[lo, hi]``: the atoms and [0,1] of
 a concrete measure, the whole line for any other.  The primitive may be
 a compiled ``let`` body over one bound measure or two fused ones, whose
-preimage pulls the set back through the body (see ``denotation``).  The
+preimage pulls the set back through the body (see ``ir``).  The
 outer dimensions then integrate the inner mass, a continuous function;
 for a ``let`` body they keep the ``MASS_REFINE`` pre-split of the
 ``let``-integral the pushforward stands for.  A primitive without a

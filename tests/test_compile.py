@@ -1,9 +1,11 @@
 """The compiled evaluator of deterministic terms against reduction."""
 
+import dataclasses
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ppcf.denotation import compile_deterministic
+from ppcf.ir import compile_deterministic
 from ppcf.intervals import parse_interval_set
 from ppcf.parser import parse_term
 from ppcf.primitives import DEFAULT_TABLE, chi_name
@@ -100,3 +102,18 @@ def test_inputs_are_positional():
     f = compile_deterministic(parse_term("x1 - 2 * x2"), ("x2", "x1"))
     assert f(1.0, 0.25) == 0.25 - 2.0
     assert f(0.5, 1.0) == 0.0
+
+
+def test_a_named_slot_is_computed_once():
+    cos = DEFAULT_TABLE.lookup("cos")
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return cos.fn(x)
+
+    table = DEFAULT_TABLE.with_override("cos", dataclasses.replace(cos, fn=counted))
+    f = compile_deterministic(parse_term("let w = cos(x1) in w * w + w"), ("x1",), table=table)
+    assert f(0.5).hex() == "0x1.a5d1e071b004bp+0"
+    assert f(0.5).hex() == "0x1.a5d1e071b004bp+0"
+    assert calls == [0.5, 0.5]  # one call per evaluation
