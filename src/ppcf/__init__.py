@@ -8,7 +8,6 @@ an adequacy harness comparing the two, and a numerical pre-stability
 """
 
 from .denotation import (
-    FixConfig,
     NonConvergent,
     SemFunction,
     fixpoint,
@@ -33,7 +32,7 @@ from .measure import (
 )
 from .parser import ParseError, SourceProgram, parse, parse_term, pretty
 from .primitives import DEFAULT_TABLE, Primitive, PrimitiveTable, chi_name
-from .quadrature import QuadratureConfig, QuadratureFailure, integrate_adaptive
+from .quadrature import QuadratureFailure, integrate_adaptive
 from .reduction import (
     Estimate,
     Exhausted,

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import click
 
-from .denotation import FixConfig, interpret
-from .harness import AdequacyConfig, adequacy_check, cdf_grid, require_ground
+from .denotation import interpret
+from .harness import DENOTATION_ERRORS, AdequacyConfig, adequacy_check, cdf_grid, require_ground
 from .intervals import FULL_LINE, IntervalSet, format_interval_set, parse_interval_set
 from .ir import compile_deterministic
 from .measure import ConcreteMeasure
@@ -164,9 +164,13 @@ def denote_cmd(source, intervals, cdf):
         term = _load_program(source).inlined_main()
         require_ground(term, typecheck({}, term))
     queries = None if intervals is None and cdf is None else _parse_intervals(intervals, cdf)
-    measure = interpret(term, fix=FixConfig())
-    report = [{"interval": format_interval_set(u), "mass": measure.mass(u)}
-              for u in queries or _default_denote_intervals(measure)]
+    try:
+        measure = interpret(term)
+        report = [{"interval": format_interval_set(u), "mass": measure.mass(u)}
+                  for u in queries or _default_denote_intervals(measure)]
+    except DENOTATION_ERRORS as exc:  # what `check` reports as a failed query
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(1)
     click.echo(json.dumps(report, sort_keys=True, indent=2))
 
 

@@ -24,7 +24,7 @@ in closed form.  Its functional is affine, ``F(nu) = A + q*nu`` with
 geometric series ``A / (1 - q)``.  Every ``#observe`` is such a loop.
 
 Every other ``fix`` is Kleene iteration from the zero value.  Iteration
-stops when the total mass moves by less than ``mass_tol``.  The iterates
+stops when the total mass moves by less than ``MASS_TOL``.  The iterates
 are an increasing chain of sub-probability measures, so between two of
 them no set's mass grows by more than the total mass does: the one test
 bounds the step of every query, and the denotation does not depend on
@@ -34,6 +34,7 @@ iteration for every spine of arguments reaching ground type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import ir
@@ -70,17 +71,10 @@ _ZERO_SET = IntervalSet.point(0.0)
 _NONZERO_SET = _ZERO_SET.complement()
 
 
-@dataclass(frozen=True)
-class FixConfig:
-    mass_tol: float = 1e-6
-    max_iters: int = 10_000
-
-    def __post_init__(self):
-        if self.mass_tol <= 0:
-            raise ValueError("mass_tol must be positive")
-
-
-DEFAULT_FIX = FixConfig()
+# Kleene iteration stops when the total mass moves by less than MASS_TOL,
+# and raises NonConvergent after MAX_ITERS steps past iterate 0
+MASS_TOL = 1e-6
+MAX_ITERS = 10_000
 
 
 class NonConvergent(Exception):
@@ -111,8 +105,7 @@ def zero_value(ty: Type):
 # -- the interpretation -----------------------------------------------------
 
 
-def interpret(t: Term, env: dict | None = None, *, fix: FixConfig = DEFAULT_FIX,
-              table: PrimitiveTable = DEFAULT_TABLE):
+def interpret(t: Term, env: dict | None = None, *, table: PrimitiveTable = DEFAULT_TABLE):
     """The meaning of `t`: a Measure at ground type, a SemFunction at arrow
     type.  `env` maps the free variables of `t` to their meanings."""
 
@@ -165,7 +158,7 @@ def interpret(t: Term, env: dict | None = None, *, fix: FixConfig = DEFAULT_FIX,
                     solved = _solve_affine(fun)
                     if solved is not None:
                         return solved
-                return fixpoint(fun, fix)
+                return fixpoint(fun)
         raise TypeError(f"not a term: {t!r}")
 
     return den(t, {} if env is None else env)
@@ -249,46 +242,30 @@ def _solve_affine(f: SemFunction) -> Measure | None:
     return mix([1.0 / gap], [a])
 
 
-def _iterate_ground(make_measure, cfg: FixConfig) -> Measure:
-    """Iterate k -> make_measure(k) until the total mass settles.
-
-    make_measure(k) must be the ground meaning of the k-th Kleene
-    iterate; iterates are walked in order so each one's memo cache is
-    primed before the next one integrates over it.
-    """
-    chain = [make_measure(0)]
-    total = chain[0].total_mass()
-    for _ in range(cfg.max_iters):
-        nxt = make_measure(len(chain))
-        chain.append(nxt)
-        previous, total = total, nxt.total_mass()
-        if abs(total - previous) < cfg.mass_tol:
-            return FixpointChainMeasure(chain)
-    raise NonConvergent(cfg.max_iters, {FULL_LINE.key(): total})
-
-
-def fixpoint(f: SemFunction, cfg: FixConfig = DEFAULT_FIX):
+def fixpoint(f: SemFunction):
     """sup of f^n(0) from the zero value of f's domain type.
 
-    At ground type the chain of iterates is materialized once; at
-    arrow types the value is lazily unrolled and the iteration re-runs
-    for each spine of arguments that reaches ground type.
+    At ground type the iterates are walked in order, each one's memo
+    cache primed before the next one integrates over it, until the total
+    mass settles.  At arrow types the value is lazily unrolled and the
+    iteration re-runs for each spine of arguments that reaches ground
+    type.
     """
-    ty = f.domain
 
     def value_at(ty: Type, spine: tuple):
-        if ty == REAL:
-            iterates = [zero_value(f.domain)]
+        if ty != REAL:
+            return SemFunction(lambda arg: value_at(ty.codomain, spine + (arg,)), ty.domain)
+        iterate, chain, total = zero_value(f.domain), [], math.inf
+        while True:
+            v = iterate
+            for arg in spine:
+                v = v.apply(arg)
+            chain.append(_ground(v))
+            previous, total = total, chain[-1].total_mass()
+            if abs(total - previous) < MASS_TOL:
+                return FixpointChainMeasure(chain)
+            if len(chain) > MAX_ITERS:
+                raise NonConvergent(MAX_ITERS, {FULL_LINE.key(): total})
+            iterate = f.apply(iterate)
 
-            def make_measure(k: int) -> Measure:
-                while len(iterates) <= k:
-                    iterates.append(f.apply(iterates[-1]))
-                v = iterates[k]
-                for arg in spine:
-                    v = v.apply(arg)
-                return _ground(v)
-
-            return _iterate_ground(make_measure, cfg)
-        return SemFunction(lambda arg: value_at(ty.codomain, spine + (arg,)), ty.domain)
-
-    return value_at(ty, ())
+    return value_at(f.domain, ())

@@ -1,8 +1,9 @@
 """Adequacy bench: run both semantics on one program and compare.
 
 A query passes when |denotational - empirical| <= DKW + quad_tol, where
-quad_tol budgets the denotational side (quadrature tolerance plus the
-fixpoint stopping tolerance).  Budget-exhausted runs are reported
+quad_tol budgets the denotational side: the quadrature tolerance
+``quadrature.ABS_TOL`` plus the fixpoint stopping tolerance
+``denotation.MASS_TOL``.  Budget-exhausted runs are reported
 separately and never counted inside any query set.
 
 Reports are plain dicts serialized with sorted keys; everything in them
@@ -19,11 +20,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .denotation import FixConfig, NonConvergent, interpret
+from .denotation import MASS_TOL, NonConvergent, interpret
 from .intervals import IntervalSet, format_interval_set
 from .parser import SourceProgram, format_type
 from .primitives import DEFAULT_TABLE, PrimitiveTable
-from .quadrature import DEFAULT_QUADRATURE, QuadratureFailure
+from .quadrature import ABS_TOL, QuadratureFailure
 from .reduction import Exhausted, Value, collect_outcomes, dkw_bound
 from .terms import REAL, Term, Type
 from .typecheck import TypeCheckError, typecheck
@@ -35,7 +36,6 @@ class AdequacyConfig:
     runs: int = 100_000
     budget: int = 10_000
     confidence: float = 0.01
-    fix: FixConfig = FixConfig()
     seed: int = 0
     bonferroni: bool = False
 
@@ -112,31 +112,31 @@ class AdequacyReport:
         return out.getvalue()
 
 
-_DENOTATION_ERRORS = (NonConvergent, QuadratureFailure)
+DENOTATION_ERRORS = (NonConvergent, QuadratureFailure)
 
 
-def denotational_masses(term: Term, intervals, *, fix: FixConfig,
+def denotational_masses(term: Term, intervals, *,
                         table: PrimitiveTable = DEFAULT_TABLE) -> list[float | Exception]:
     """Masses of the program denotation on each interval set.
 
     The program is interpreted once for all the sets.  A tail-affine
     ``fix`` (every ``#observe``) is solved in closed form.  Every other
     ``fix`` stops its Kleene chain when the total mass moves by less than
-    ``fix.mass_tol``; the iterates increase, so no set's mass moves by
+    ``MASS_TOL``; the iterates increase, so no set's mass moves by
     more than the total does, and that one test bounds every query.  A
     denotation error is returned in place of a mass: one raised while
     interpreting for every set, one raised by a set's mass query for
     that set only.
     """
     try:
-        measure = interpret(term, fix=fix, table=table)
-    except _DENOTATION_ERRORS as exc:
+        measure = interpret(term, table=table)
+    except DENOTATION_ERRORS as exc:
         return [exc] * len(intervals)
     masses: list[float | Exception] = []
     for u in intervals:
         try:
             masses.append(measure.mass(u))
-        except _DENOTATION_ERRORS as exc:
+        except DENOTATION_ERRORS as exc:
             masses.append(exc)
     return masses
 
@@ -170,9 +170,9 @@ def adequacy_check(program: SourceProgram, cfg: AdequacyConfig,
     if cfg.bonferroni and cfg.intervals:
         per_query_confidence = cfg.confidence / len(cfg.intervals)
     dkw = dkw_bound(cfg.runs, per_query_confidence)
-    quad_tol = DEFAULT_QUADRATURE.abs_tol + cfg.fix.mass_tol
+    quad_tol = ABS_TOL + MASS_TOL
 
-    dens = denotational_masses(term, cfg.intervals, fix=cfg.fix, table=den_table)
+    dens = denotational_masses(term, cfg.intervals, table=den_table)
     queries = []
     overall = True
     for u, den in zip(cfg.intervals, dens):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 INF = math.inf
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Interval:
     """One piece of an IntervalSet.  ``lo == hi`` means an isolated point."""
 

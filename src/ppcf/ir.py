@@ -21,17 +21,16 @@ from .terms import Ifz, Let, Numeral, Prim, Term, Var
 SELECT = Primitive("ifz", 3, lambda c, then, otherwise: then if c == 0.0 else otherwise)
 
 
-def compile_deterministic(t: Term, inputs: tuple[str, ...], env: dict | None = None,
-                          table: PrimitiveTable = DEFAULT_TABLE):
+def compile_deterministic(t: Term, inputs: tuple[str, ...], table: PrimitiveTable = DEFAULT_TABLE):
     """Compile a deterministic first-order ground term to a float function.
 
     The function takes one float per name in `inputs` and gives the same
     value, bit for bit, as reducing the term with those numerals
-    substituted.  Other free variables must be unit Diracs in `env`.
-    Returns None on ``sample``, ``fun``, application or ``fix``.  A ``let``
-    pushforward runs the same code, and ``ppcf stability --fn`` checks it.
+    substituted.  Returns None on a free variable outside `inputs`,
+    ``sample``, ``fun``, application or ``fix``.  A ``let`` pushforward
+    runs the same code, and ``ppcf stability --fn`` checks it.
     """
-    code, out = lower(t, inputs, {} if env is None else env, table)
+    code, out = lower(t, inputs, {}, table)
     return None if out is None else compile_code(code, len(inputs), out)
 
 

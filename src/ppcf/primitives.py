@@ -339,22 +339,17 @@ class UnknownPrimitive(KeyError):
 
 
 class PrimitiveTable:
-    """Name -> Primitive, with chi[...] entries synthesized on demand."""
+    """Name -> Primitive; a chi[...] entry is built and stored on first lookup."""
 
     def __init__(self, entries: dict[str, Primitive] | None = None):
         self._entries = dict(_BASE_TABLE if entries is None else entries)
-        self._chi_cache: dict[str, Primitive] = {}
 
     def lookup(self, name: str) -> Primitive:
         p = self._entries.get(name)
         if p is not None:
             return p
         if name.startswith(CHI_PREFIX) and name.endswith("]"):
-            p = self._chi_cache.get(name)
-            if p is None:
-                u = parse_interval_set(name[len(CHI_PREFIX):-1])
-                p = _make_chi(name, u)
-                self._chi_cache[name] = p
+            p = self._entries[name] = _make_chi(name, parse_interval_set(name[len(CHI_PREFIX):-1]))
             return p
         raise UnknownPrimitive(name)
 

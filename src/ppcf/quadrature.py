@@ -18,25 +18,16 @@ merely within tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class QuadratureFailure(Exception):
-    """Raised when bisection hits max_depth with the local error still large."""
+    """Raised when bisection hits MAX_DEPTH with the local error still large."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Absolute and relative error budgets of one integrate_adaptive call, and
+# the bisection depth past which it raises QuadratureFailure
+ABS_TOL = 1e-9
+REL_TOL = 1e-9
+MAX_DEPTH = 60
 
 # Minimum per-interval error budget.  Halving the budget at every level
 # never terminates on a discontinuity (error and budget shrink at the
@@ -95,7 +86,7 @@ def _try_step(f, xs, vs):
     return (cut - xs[0]) * v_left + (xs[4] - cut) * v_right
 
 
-def _adaptive(f, a, fa, m, fm, b, fb, whole, tol, tol_floor, rel, depth, max_depth):
+def _adaptive(f, a, fa, m, fm, b, fb, whole, tol, tol_floor, rel, depth):
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = f(lm)
@@ -111,21 +102,17 @@ def _adaptive(f, a, fa, m, fm, b, fb, whole, tol, tol_floor, rel, depth, max_dep
     step = _try_step(f, (a, lm, m, rm, b), (fa, flm, fm, frm, fb))
     if step is not None:
         return step
-    if depth >= max_depth:
+    if depth >= MAX_DEPTH:
         raise QuadratureFailure(
             f"no convergence on [{a}, {b}] at depth {depth} "
             f"(residual {abs(delta) / 15.0:.3g} > {budget:.3g})"
         )
     half = tol / 2.0
-    return _adaptive(
-        f, a, fa, lm, flm, m, fm, left, half, tol_floor, rel, depth + 1, max_depth
-    ) + _adaptive(
-        f, m, fm, rm, frm, b, fb, right, half, tol_floor, rel, depth + 1, max_depth
-    )
+    return (_adaptive(f, a, fa, lm, flm, m, fm, left, half, tol_floor, rel, depth + 1)
+            + _adaptive(f, m, fm, rm, frm, b, fb, right, half, tol_floor, rel, depth + 1))
 
 
-def integrate_adaptive(f, a: float, b: float, *, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                       knots=()) -> float:
+def integrate_adaptive(f, a: float, b: float, *, knots=()) -> float:
     """Integrate f over [a, b], subdividing first at the given interior knots.
 
     Knots mark where to split before adapting (the measure layer splits
@@ -140,9 +127,9 @@ def integrate_adaptive(f, a: float, b: float, *, cfg: QuadratureConfig = DEFAULT
     # /4 safety: leaf errors are positively correlated on one-sided
     # integrands (convex tails), so the nominal sum-of-budgets bound is
     # taken with headroom
-    tol = cfg.abs_tol / (len(cuts) - 1) / 4.0
+    tol = ABS_TOL / (len(cuts) - 1) / 4.0
     tol_floor = tol * _TOL_FLOOR_FACTOR
-    rel = cfg.rel_tol / 4.0
+    rel = REL_TOL / 4.0
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         flo = f(lo)
@@ -150,6 +137,5 @@ def integrate_adaptive(f, a: float, b: float, *, cfg: QuadratureConfig = DEFAULT
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         whole = _simpson(hi - lo, flo, fmid, fhi)
-        total += _adaptive(f, lo, flo, mid, fmid, hi, fhi, whole,
-                           tol, tol_floor, rel, 0, cfg.max_depth)
+        total += _adaptive(f, lo, flo, mid, fmid, hi, fhi, whole, tol, tol_floor, rel, 0)
     return total

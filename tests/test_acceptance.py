@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from ppcf.cli import main as cli_main
-from ppcf.denotation import FixConfig, interpret, zero_value
+from ppcf.denotation import interpret, zero_value
 from ppcf.harness import AdequacyConfig, adequacy_check, cdf_grid
 from ppcf.intervals import FULL_LINE, IntervalSet, parse_interval_set
 from ppcf.parser import parse, parse_term

@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import ppcf.denotation
 from ppcf.cli import main
 
 
@@ -83,6 +84,17 @@ def test_denote_intervals_spec():
     res = _run("denote", "#bernoulli 0.3", "--intervals", "{0}; {1}")
     data = json.loads(res.output)
     assert [d["mass"] for d in data] == [0.7, 0.3]
+
+
+def test_denote_reports_nonconvergence_as_an_error(monkeypatch):
+    # `y + 0` keeps y out of tail position, so the fix iterates, and a
+    # window of width 1e-4 needs far more than 25 iterates to settle
+    monkeypatch.setattr(ppcf.denotation, "MAX_ITERS", 25)
+    res = _run("denote", "fix (fun y : real -> let x = sample in #ifU(x, [0,0.0001], x, y + 0))",
+               "--intervals", "[0,0.0001]")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error: NonConvergent: fixpoint did not settle within 25 iterations" in res.output
 
 
 # masses whose preimages overflow an endpoint: a subnormal outer value of

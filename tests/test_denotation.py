@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppcf.denotation import (
-    FixConfig,
     NonConvergent,
     SemFunction,
     fixpoint,
@@ -159,7 +158,7 @@ def test_let_bind_gaussian_matches_analytic():
 
 def test_fixpoint_identity_is_zero_measure():
     ident = SemFunction(lambda v: v, REAL)
-    out = fixpoint(ident, FixConfig())
+    out = fixpoint(ident)
     assert out.total_mass() == 0.0
 
 
@@ -206,12 +205,13 @@ def test_fixpoint_monotone_probe_masses(prior, lo, width):
             last[u.key()] = mass
 
 
-def test_fixpoint_nonconvergent_reports():
+def test_fixpoint_nonconvergent_reports(monkeypatch):
+    monkeypatch.setattr(ppcf.denotation, "MAX_ITERS", 40)
     fun = interpret(
         parse_term("fun y : real -> let x = sample in ifz chi[[0,0.001]](x) then y else x")
     )
     with pytest.raises(NonConvergent) as err:
-        fixpoint(fun, FixConfig(mass_tol=1e-6, max_iters=40))
+        fixpoint(fun)
     assert err.value.iters == 40
     assert err.value.last_masses
 
@@ -321,7 +321,7 @@ def test_solved_observe_lies_in_kleene_enclosure(prior, place, width, points):
     lo = place * (1.0 - width)
     body = f"let x = {prior} in ifz chi[[{lo!r},{lo + width!r}]](x) then y else x"
     solved = interpret(parse_term(f"fix (fun y : real -> {body})"))
-    chain = fixpoint(interpret(parse_term(f"fun y : real -> {body}")), FixConfig())
+    chain = fixpoint(interpret(parse_term(f"fun y : real -> {body}")))
     slack = 1.0 - chain.total_mass()
     for z in points:
         u = parse_interval_set(f"(-inf,{z!r}]")
@@ -608,6 +608,16 @@ def test_narrow_step_in_a_primitive_outer_input():
     # the let spelling, with the pre-split, gets 0.99 * 0.1
     got = _mass("chi[[0.3,0.31]](sample) + sample", parse_interval_set("(-inf,0.1]"))
     assert abs(got - 0.099) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: the let-integral's mass integrand is 1 only on [0.3,0.302], "
+    "narrower than the 1/128 between MASS_REFINE's samples, so it is summed as a "
+    "plateau of 0"))
+def test_thin_sliver_of_an_observe_window():
+    # the observed sample is uniform on [0.3,0.8]: (0.302 - 0.3) / 0.5
+    got = _mass("#observe([0.3,0.8]) sample", parse_interval_set("(-inf,0.302]"))
+    assert abs(got - 0.004) < 1e-9
 
 
 @pytest.mark.parametrize("src", ["exp(-1000 * sample)", "let x = sample in exp(-1000 * x)"])

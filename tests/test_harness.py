@@ -3,13 +3,13 @@ import math
 
 import pytest
 
+import ppcf.denotation
 import ppcf.harness
 from ppcf.harness import AdequacyConfig, adequacy_check, cdf_grid, denotational_masses
 from ppcf.intervals import FULL_LINE, IntervalSet, parse_interval_set
 from ppcf.parser import parse
 from ppcf.primitives import DEFAULT_TABLE, Primitive
 from ppcf.quadrature import QuadratureFailure
-from ppcf.denotation import FixConfig
 
 
 def _cfg(intervals, runs=2_000, **kw):
@@ -73,14 +73,14 @@ def test_budget_truncation_keeps_inequality_direction():
         assert q.empirical <= q.denotational + q.dkw + q.quad_tol
 
 
-def test_nonconvergent_is_reported_not_raised():
+def test_nonconvergent_is_reported_not_raised(monkeypatch):
+    monkeypatch.setattr(ppcf.denotation, "MAX_ITERS", 25)
     prog = parse("fix (fun y : real -> let x = sample in #ifU(x, [0,0.0001], x, y + 0))")
     cfg = AdequacyConfig(
         intervals=(IntervalSet.closed(0.0, 0.0001),),
         runs=200,
         budget=10,
         seed=1,
-        fix=FixConfig(max_iters=25),
     )
     rep = adequacy_check(prog, cfg)
     assert not rep.overall_pass
@@ -88,16 +88,16 @@ def test_nonconvergent_is_reported_not_raised():
     assert "NonConvergent" in rep.queries[0].error
 
 
-def test_thin_observe_is_solved_not_iterated():
+def test_thin_observe_is_solved_not_iterated(monkeypatch):
     # `y + 0` above leaves y under a primitive, so that fix iterates; the
     # tail-affine #observe of the same window is solved without iterates
+    monkeypatch.setattr(ppcf.denotation, "MAX_ITERS", 25)
     prog = parse("#observe([0,0.0001]) sample")
     cfg = AdequacyConfig(
         intervals=(IntervalSet.closed(0.0, 0.0001),),
         runs=200,
         budget=10,
         seed=1,
-        fix=FixConfig(max_iters=25),
     )
     rep = adequacy_check(prog, cfg)
     assert rep.queries[0].error is None
@@ -149,11 +149,7 @@ def test_negative_budget_rejected():
 def test_denotational_masses_uses_query_probes():
     # a fixpoint whose convergence is judged on the queried set itself
     term = parse("#observe([0,0.5]) sample").inlined_main()
-    got = denotational_masses(
-        term,
-        [IntervalSet.closed(0.0, 0.25)],
-        fix=FixConfig(),
-    )
+    got = denotational_masses(term, [IntervalSet.closed(0.0, 0.25)])
     assert abs(got[0] - 0.5) < 1e-6
 
 
@@ -183,7 +179,7 @@ _GOLDEN_MASSES = [
                          ids=[src for src, _, _ in _GOLDEN_MASSES])
 def test_denotational_masses_are_bit_identical_to_golden(source, sets, want):
     term = parse(source).inlined_main()
-    got = denotational_masses(term, [parse_interval_set(s) for s in sets], fix=FixConfig())
+    got = denotational_masses(term, [parse_interval_set(s) for s in sets])
     assert tuple(m.hex() for m in got) == want
 
 

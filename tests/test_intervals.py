@@ -10,7 +10,7 @@ from ppcf.intervals import (
     format_interval_set,
     parse_interval_set,
 )
-from ppcf.primitives import DEFAULT_TABLE, chi_name
+from ppcf.primitives import DEFAULT_TABLE, PrimitiveTable, chi_name
 
 
 def test_normalization_merges_adjacent_compatible():
@@ -132,6 +132,23 @@ def test_chi_of_empty_set_looks_up():
     for x in (-1e300, -1.0, 0.0, 0.5, 1.0, 1e300):
         assert chi.fn(x) == 0.0
     assert chi.preimage(0, [None], -math.inf, math.inf, IntervalSet.point(0.0)) == FULL_LINE
+
+
+def test_chi_entry_is_built_once():
+    table = PrimitiveTable()
+    name = chi_name(IntervalSet.closed(0.25, 0.75))
+    first = table.lookup(name)
+    assert table.lookup(name) is first
+    assert first.fn(0.5) == 1.0 and first.fn(0.8) == 0.0
+
+
+def test_malformed_chi_name_is_not_an_entry():
+    table = PrimitiveTable()
+    with pytest.raises(ValueError):
+        table.lookup("chi[[1,0]]")
+    assert "chi[[1,0]]" not in table
+    with pytest.raises(ValueError):
+        table.lookup("chi[[1,0]]")
 
 
 def test_infinite_endpoints_are_open():

@@ -2,11 +2,8 @@ import math
 
 import pytest
 
-from ppcf.quadrature import (
-    QuadratureConfig,
-    QuadratureFailure,
-    integrate_adaptive,
-)
+import ppcf.quadrature
+from ppcf.quadrature import QuadratureFailure, integrate_adaptive
 
 
 def test_polynomial_is_near_exact():
@@ -66,10 +63,10 @@ def test_reversed_bounds_rejected():
         integrate_adaptive(lambda x: x, 1.0, 0.0)
 
 
-def test_failure_on_singularity_with_small_depth():
-    cfg = QuadratureConfig(max_depth=12)
+def test_failure_on_singularity_with_small_depth(monkeypatch):
+    monkeypatch.setattr(ppcf.quadrature, "MAX_DEPTH", 12)
     with pytest.raises(QuadratureFailure):
-        integrate_adaptive(lambda x: 1.0 / math.sqrt(x) if x > 0 else 1e300, 0.0, 1.0, cfg=cfg)
+        integrate_adaptive(lambda x: 1.0 / math.sqrt(x) if x > 0 else 1e300, 0.0, 1.0)
 
 
 def test_empty_interval():
