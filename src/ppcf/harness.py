@@ -112,7 +112,10 @@ class AdequacyReport:
         return out.getvalue()
 
 
-DENOTATION_ERRORS = (NonConvergent, QuadratureFailure)
+# a chain whose `y` sits under a primitive nests one pushforward per
+# iterate, and a long one passes the recursion limit: reported, as a
+# chain that does not settle is
+DENOTATION_ERRORS = (NonConvergent, QuadratureFailure, RecursionError)
 
 
 def denotational_masses(term: Term, intervals, *,
@@ -162,7 +165,7 @@ def adequacy_check(program: SourceProgram, cfg: AdequacyConfig,
     require_ground(term, typecheck({}, term, den_table))
 
     outcomes = collect_outcomes(term, cfg.runs, cfg.budget, cfg.seed, op_table)
-    values = [o.value for o in outcomes if isinstance(o, Value)]
+    values = sorted(o.value for o in outcomes if isinstance(o, Value))
     exhausted = sum(1 for o in outcomes if isinstance(o, Exhausted))
     steps_total = sum(o.steps for o in outcomes)
 
@@ -176,7 +179,7 @@ def adequacy_check(program: SourceProgram, cfg: AdequacyConfig,
     queries = []
     overall = True
     for u, den in zip(cfg.intervals, dens):
-        empirical = sum(1 for v in values if u.contains(v)) / cfg.runs
+        empirical = u.count(values) / cfg.runs
         if isinstance(den, Exception):
             queries.append(
                 QueryResult(u, None, empirical, dkw, quad_tol, False,

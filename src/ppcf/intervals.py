@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 INF = math.inf
@@ -101,6 +102,14 @@ class IntervalSet:
         return False
 
     __contains__ = contains
+
+    def count(self, ordered) -> int:
+        """How many of the sorted floats `ordered` lie in the set, by bisection."""
+        n = 0
+        for p in self.pieces:
+            lo = (bisect_left if p.lo_closed else bisect_right)(ordered, p.lo)
+            n += (bisect_right if p.hi_closed else bisect_left)(ordered, p.hi) - lo
+        return n
 
     @property
     def is_empty(self) -> bool:

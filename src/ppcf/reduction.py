@@ -14,14 +14,22 @@ HOSC 2007) with call-by-value ground ``let``.  It never rebuilds or
 substitutes into the term, so the cost of a step does not grow with
 the term.  It counts exactly the contractions the rules count, draws
 in the same order and calls the same primitives on the same floats.
+
+``collect_outcomes`` first runs the machine once over symbolic draws.
+Only ``ifz`` reads a value, so a run that meets no ``ifz`` takes the
+same steps and calls the same primitives whatever it draws.  When that
+run ends in a value, its draws and primitive results are lowered to one
+``ir`` code list and compiled, and every run replays it on its own
+stream; every run of any other program goes to ``run``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .intervals import IntervalSet
+from .ir import compile_code
 from .primitives import DEFAULT_TABLE, PrimitiveTable
 from .rng import RngStream
 from .terms import (
@@ -337,12 +345,87 @@ def _stuck(t: Term, steps: int, draws: list[float], results: list[float]) -> Stu
     return StuckNormal(t, steps)
 
 
+class _Guarded(Exception):
+    """A recording run compared a slot: its path depends on its draws."""
+
+
+class _Slot(float):
+    """A draw or primitive result of a recording run.  Its float value is
+    its event index; comparing it (an ``ifz``) stops the recording."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        raise _Guarded
+
+
+class _Recorder:
+    """Stream and table of a recording run: each draw and primitive call
+    returns a fresh slot and logs an event, None or (primitive, args)."""
+
+    def __init__(self, table: PrimitiveTable):
+        self.table = table
+        self.events: list = []
+
+    def _slot(self, event) -> _Slot:
+        self.events.append(event)
+        return _Slot(len(self.events) - 1)
+
+    def uniform(self) -> _Slot:
+        return self._slot(None)
+
+    def lookup(self, name: str):
+        prim = self.table.lookup(name)
+        return replace(prim, fn=lambda *values: self._slot((prim, values)))
+
+    def compile(self, out: float):
+        """(body, draws): the recorded value as compiled code of the draws."""
+        draws = [i for i, event in enumerate(self.events) if event is None]
+        at = {i: j for j, i in enumerate(draws)}  # event index -> code slot
+        code: list = [(None, None)] * len(draws)
+
+        def slot(v):
+            if type(v) is _Slot:
+                return at[int(v)]
+            code.append((None, v))
+            return len(code) - 1
+
+        for i, event in enumerate(self.events):
+            if event is not None:
+                prim, values = event
+                code.append((prim, tuple(slot(v) for v in values)))
+                at[i] = len(code) - 1
+        return compile_code(code, len(draws), slot(out)), len(draws)
+
+
 def collect_outcomes(t: Term, runs: int, budget: int, seed: int,
                      table: PrimitiveTable = DEFAULT_TABLE) -> list[Outcome]:
-    """Independent reproducible runs; run i owns stream offset i * 2**40."""
+    """Independent reproducible runs; run i owns stream offset i * 2**40.
+
+    `run` first reduces `t` once with a recorder for stream and table, so
+    draws and primitive results are slots.  If that run reaches a value
+    without an ``ifz`` comparing a slot, every run takes its steps and
+    calls its primitives, and each run is the recorded code replayed on
+    its own draws: ``uniform`` once per draw in draw order, then each
+    primitive's ``fn`` from `table` in the machine's order, on the floats
+    the machine would pass it.  The values are the machine's since a
+    primitive maps floats to finite floats, so the ``Numeral`` the
+    machine wraps each result in keeps it as it is.  Any other recording
+    (an ``ifz``, a stuck term or an exhausted budget) sends every run to
+    `run`.
+    """
     if budget < 0:
         raise ValueError("collect_outcomes needs budget >= 0")
-    return [run(t, budget, RngStream.for_run(seed, i), table) for i in range(runs)]
+    recorder = _Recorder(table)
+    try:
+        recorded = run(t, budget, recorder, recorder)
+    except _Guarded:
+        recorded = None
+    if not isinstance(recorded, Value):
+        return [run(t, budget, RngStream.for_run(seed, i), table) for i in range(runs)]
+    body, draws = recorder.compile(recorded.value)
+    streams = (RngStream.for_run(seed, i) for i in range(runs))
+    return [Value(body(*[s.uniform() for _ in range(draws)]), recorded.steps) for s in streams]
 
 
 def dkw_bound(runs: int, confidence: float) -> float:
@@ -367,6 +450,6 @@ def estimate_mass(t: Term, u: IntervalSet, runs: int, budget: int, seed: int,
     if runs < 1:
         raise ValueError("estimate_mass needs runs >= 1")
     outcomes = collect_outcomes(t, runs, budget, seed, table)
-    hits = sum(1 for o in outcomes if isinstance(o, Value) and u.contains(o.value))
+    hits = u.count(sorted(o.value for o in outcomes if isinstance(o, Value)))
     exhausted = sum(1 for o in outcomes if isinstance(o, Exhausted))
     return Estimate(hits / runs, dkw_bound(runs, confidence), runs, exhausted)

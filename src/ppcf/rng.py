@@ -17,16 +17,12 @@ _MIX2 = 0x94D049BB133111EB
 STREAM_SPACING = 1 << 40
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def uniform_at(seed: int, counter: int) -> float:
     """The [0,1) draw at an absolute stream position."""
-    state = (seed + _GAMMA * (counter + 1)) & _MASK64
-    return (_mix64(state) >> 11) * 2.0**-53
+    z = (seed + _GAMMA * (counter + 1)) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
 class RngStream:

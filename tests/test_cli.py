@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -95,6 +96,28 @@ def test_denote_reports_nonconvergence_as_an_error(monkeypatch):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "error: NonConvergent: fixpoint did not settle within 25 iterations" in res.output
+
+
+def test_nested_chain_past_the_recursion_limit_is_a_failed_query():
+    # `y * 0.5` nests one pushforward per Kleene iterate, and the chain
+    # needs about 210 of them; under a low limit the mass query recurses
+    # past it, and both commands report that in place of a traceback
+    src = "fix (fun y : real -> let x = sample in #ifU(x, [0,0.05], x * 2, y * 0.5))"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        denote = _run("denote", src, "--intervals", "[0,0.1]")
+        check = _run("check", src, "--intervals", "[0,0.1]", "--runs", "200")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert denote.exit_code == 1
+    assert isinstance(denote.exception, SystemExit)
+    assert "error: RecursionError: maximum recursion depth exceeded" in denote.output
+    assert check.exit_code == 1
+    assert isinstance(check.exception, SystemExit)
+    query = json.loads(check.output)["queries"][0]
+    assert query["denotational_mass"] is None
+    assert query["error"].startswith("RecursionError: maximum recursion depth exceeded")
 
 
 # masses whose preimages overflow an endpoint: a subnormal outer value of

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ppcf.intervals import (
     EMPTY,
@@ -166,3 +168,26 @@ def test_key_is_canonical():
     a = IntervalSet([Interval(0.0, 1.0, True, True), Interval(0.5, 2.0, True, True)])
     b = IntervalSet.closed(0.0, 2.0)
     assert a.key() == b.key()
+
+
+_ENDS = (-math.inf, -2.0, -0.0, 0.0, 0.5, 1.0, math.inf)
+
+
+@st.composite
+def interval_sets(draw):
+    """Unions of up to four pieces over a few shared endpoints: points,
+    open and closed ends, infinite ends, and both zeros."""
+    u = EMPTY
+    for _ in range(draw(st.integers(0, 4))):
+        lo, hi = sorted(draw(st.sampled_from(_ENDS)) for _ in range(2))
+        u = u.union(IntervalSet.interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return u
+
+
+@given(interval_sets(),
+       st.lists(st.one_of(st.sampled_from(_ENDS), st.floats(-3.0, 3.0)), max_size=30))
+@example(IntervalSet.point(0.0), [-0.0, 0.0, 0.0, 1.0])
+@example(IntervalSet.interval(-0.0, 1.0, False, True), [-0.0, 0.0, 0.5, 1.0, 1.0])
+@example(IntervalSet.interval(-math.inf, 0.5, False, False), [-math.inf, 0.5, 0.25])
+def test_count_by_bisection_equals_membership(u, values):
+    assert u.count(sorted(values)) == sum(u.contains(v) for v in values)

@@ -392,3 +392,39 @@ def test_machine_matches_the_rules(t, seed):
         assert _same(got, expected), (budget, got, expected)
         assert rng.counter == counter
         assert table.calls == spec_table.calls[:n_calls]
+
+
+def _counted(collect):
+    """(outcomes, the stream positions drawn, the primitive calls) of
+    `collect` given a fresh RecordingTable."""
+    uniform, draws = RngStream.uniform, []
+
+    def counted(stream):
+        draws.append(stream.counter)
+        return uniform(stream)
+
+    table = RecordingTable()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RngStream, "uniform", counted)
+        outcomes = collect(table)
+    return outcomes, draws, table.calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(typed_terms(REAL), typed_terms(RR)), st.integers(0, 2**32))
+@example(parse_term("(fun x : real -> x + x) sample"), 1)  # call by name draws twice
+@example(parse_term("let x = sample in x * x + 1"), 2)  # one slot read twice
+@example(parse_term("1 + 2"), 3)  # no draws
+@example(parse_term("#observe([0,0.3]) sample"), 4)  # guarded
+@example(parse_term("#expectation(3) (fun x : real -> x) sample"), 5)  # exhausts budget 3
+@example(App(Prim("add", (SAMPLE, Numeral(1.0))), SAMPLE), 6)  # stuck
+def test_collect_outcomes_is_run_by_run_the_machine(t, seed):
+    runs = 3
+    for budget in (0, 3, 40, 10_000):
+        want, want_draws, want_calls = _counted(
+            lambda table: [run(t, budget, RngStream.for_run(seed, i), table) for i in range(runs)])
+        got, got_draws, got_calls = _counted(
+            lambda table: collect_outcomes(t, runs, budget, seed, table))
+        assert len(got) == runs and all(map(_same, got, want)), (budget, got, want)
+        assert got_draws == want_draws
+        assert got_calls == want_calls
