@@ -265,7 +265,7 @@ def fixpoint(f: SemFunction):
             if abs(total - previous) < MASS_TOL:
                 return FixpointChainMeasure(chain)
             if len(chain) > MAX_ITERS:
-                raise NonConvergent(MAX_ITERS, {FULL_LINE.key(): total})
+                raise NonConvergent(MAX_ITERS, {FULL_LINE: total})
             iterate = f.apply(iterate)
 
     return value_at(f.domain, ())

@@ -4,6 +4,12 @@ An ``IntervalSet`` is the only kind of measurable set the package works
 with: a normalized, disjoint, sorted union of intervals (isolated points
 are degenerate closed intervals).  Membership uses exact float
 comparison, so Dirac-atom masses are exact.
+
+A piece is a plain tuple ``(lo, hi, lo_closed, hi_closed)`` with
+``lo <= hi``, infinite ends open and an isolated point (``lo == hi``)
+closed at both ends.  Only ``_piece`` builds one; other modules only
+unpack ``IntervalSet.pieces``.  A set hashes and compares by its pieces,
+so it is its own memoization key.
 """
 
 from __future__ import annotations
@@ -11,51 +17,15 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One piece of an IntervalSet.  ``lo == hi`` means an isolated point."""
-
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval piece: {self}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError("degenerate interval must be closed on both ends")
-        if self.lo == -INF and self.lo_closed:
-            raise ValueError("-inf endpoint must be open")
-        if self.hi == INF and self.hi_closed:
-            raise ValueError("+inf endpoint must be open")
-
-    def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def length(self) -> float:
-        return self.hi - self.lo
-
-
-def _piece(lo, hi, lo_closed=True, hi_closed=True) -> Interval | None:
-    """Build a piece, returning None when it denotes the empty set."""
+def _piece(lo, hi, lo_closed=True, hi_closed=True):
+    """The piece ``(lo, hi, lo_closed, hi_closed)``, or None when it
+    denotes the empty set.  Raises on a NaN end; opens an infinite end."""
+    if lo != lo or hi != hi:
+        raise ValueError("interval endpoints must not be NaN")
     if lo > hi:
         return None
     if lo == -INF:
@@ -64,9 +34,14 @@ def _piece(lo, hi, lo_closed=True, hi_closed=True) -> Interval | None:
         hi_closed = False
     if lo == hi and not (lo_closed and hi_closed):
         return None
-    if lo == hi == INF or lo == hi == -INF:
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)
+    return (lo, hi, lo_closed, hi_closed)
+
+
+def _point(x):
+    """The piece {x}; x must be finite."""
+    if not math.isfinite(x):
+        raise ValueError(f"an isolated point must be finite, not {x!r}")
+    return _piece(x, x)
 
 
 class IntervalSet:
@@ -75,29 +50,27 @@ class IntervalSet:
     __slots__ = ("pieces",)
 
     def __init__(self, pieces=()):
-        self.pieces: tuple[Interval, ...] = _normalize(pieces)
+        self.pieces: tuple[tuple, ...] = _normalize(pieces)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def point(x: float) -> "IntervalSet":
-        return IntervalSet([Interval(x, x, True, True)])
+        return IntervalSet([_point(x)])
 
     @staticmethod
     def closed(lo: float, hi: float) -> "IntervalSet":
-        p = _piece(lo, hi, True, True)
-        return IntervalSet([p] if p else [])
+        return IntervalSet([_piece(lo, hi)])
 
     @staticmethod
     def interval(lo, hi, lo_closed=True, hi_closed=True) -> "IntervalSet":
-        p = _piece(lo, hi, lo_closed, hi_closed)
-        return IntervalSet([p] if p else [])
+        return IntervalSet([_piece(lo, hi, lo_closed, hi_closed)])
 
     # -- queries ---------------------------------------------------------
 
     def contains(self, x: float) -> bool:
-        for p in self.pieces:
-            if p.contains(x):
+        for lo, hi, lo_closed, hi_closed in self.pieces:
+            if not (x < lo or x > hi or x == lo and not lo_closed or x == hi and not hi_closed):
                 return True
         return False
 
@@ -106,9 +79,9 @@ class IntervalSet:
     def count(self, ordered) -> int:
         """How many of the sorted floats `ordered` lie in the set, by bisection."""
         n = 0
-        for p in self.pieces:
-            lo = (bisect_left if p.lo_closed else bisect_right)(ordered, p.lo)
-            n += (bisect_right if p.hi_closed else bisect_left)(ordered, p.hi) - lo
+        for lo, hi, lo_closed, hi_closed in self.pieces:
+            start = (bisect_left if lo_closed else bisect_right)(ordered, lo)
+            n += (bisect_right if hi_closed else bisect_left)(ordered, hi) - start
         return n
 
     @property
@@ -116,11 +89,7 @@ class IntervalSet:
         return not self.pieces
 
     def total_length(self) -> float:
-        return sum(p.length() for p in self.pieces)
-
-    def key(self):
-        """Canonical hashable form, used as a memoization key."""
-        return tuple((p.lo, p.hi, p.lo_closed, p.hi_closed) for p in self.pieces)
+        return sum(hi - lo for lo, hi, _, _ in self.pieces)
 
     # -- set algebra -----------------------------------------------------
 
@@ -129,38 +98,32 @@ class IntervalSet:
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out = []
-        for a in self.pieces:
-            for b in other.pieces:
+        for a_lo, a_hi, a_lo_c, a_hi_c in self.pieces:
+            for b_lo, b_hi, b_lo_c, b_hi_c in other.pieces:
                 # later start wins; on a tie the stricter openness wins
-                if a.lo > b.lo:
-                    lo, lo_c = a.lo, a.lo_closed
-                elif b.lo > a.lo:
-                    lo, lo_c = b.lo, b.lo_closed
+                if a_lo > b_lo:
+                    lo, lo_c = a_lo, a_lo_c
+                elif b_lo > a_lo:
+                    lo, lo_c = b_lo, b_lo_c
                 else:
-                    lo, lo_c = a.lo, a.lo_closed and b.lo_closed
-                if a.hi < b.hi:
-                    hi, hi_c = a.hi, a.hi_closed
-                elif b.hi < a.hi:
-                    hi, hi_c = b.hi, b.hi_closed
+                    lo, lo_c = a_lo, a_lo_c and b_lo_c
+                if a_hi < b_hi:
+                    hi, hi_c = a_hi, a_hi_c
+                elif b_hi < a_hi:
+                    hi, hi_c = b_hi, b_hi_c
                 else:
-                    hi, hi_c = a.hi, a.hi_closed and b.hi_closed
-                p = _piece(lo, hi, lo_c, hi_c)
-                if p is not None:
-                    out.append(p)
+                    hi, hi_c = a_hi, a_hi_c and b_hi_c
+                out.append(_piece(lo, hi, lo_c, hi_c))
         return IntervalSet(out)
 
     def complement(self) -> "IntervalSet":
         out = []
         cursor = -INF
         cursor_closed = False  # whether `cursor` itself is still available
-        for p in self.pieces:
-            q = _piece(cursor, p.lo, cursor_closed, not p.lo_closed)
-            if q is not None:
-                out.append(q)
-            cursor, cursor_closed = p.hi, not p.hi_closed
-        q = _piece(cursor, INF, cursor_closed, False)
-        if q is not None:
-            out.append(q)
+        for lo, hi, lo_closed, hi_closed in self.pieces:
+            out.append(_piece(cursor, lo, cursor_closed, not lo_closed))
+            cursor, cursor_closed = hi, not hi_closed
+        out.append(_piece(cursor, INF, cursor_closed, False))
         return IntervalSet(out)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
@@ -169,12 +132,10 @@ class IntervalSet:
     def image(self, f, increasing: bool) -> "IntervalSet":
         """Image under a monotone map; an endpoint that overflows is opened."""
         if increasing:
-            return IntervalSet(
-                [_piece(f(p.lo), f(p.hi), p.lo_closed, p.hi_closed) for p in self.pieces]
-            )
-        return IntervalSet(
-            [_piece(f(p.hi), f(p.lo), p.hi_closed, p.lo_closed) for p in self.pieces]
-        )
+            return IntervalSet([_piece(f(lo), f(hi), lo_c, hi_c)
+                                for lo, hi, lo_c, hi_c in self.pieces])
+        return IntervalSet([_piece(f(hi), f(lo), hi_c, lo_c)
+                            for lo, hi, lo_c, hi_c in self.pieces])
 
     def shift(self, delta: float) -> "IntervalSet":
         if delta == 0.0:
@@ -208,35 +169,34 @@ class IntervalSet:
         return f"IntervalSet({format_interval_set(self)!r})"
 
 
-def _normalize(pieces) -> tuple[Interval, ...]:
+def _normalize(pieces) -> tuple[tuple, ...]:
     ps = sorted(
         (p for p in pieces if p is not None),
-        key=lambda p: (p.lo, not p.lo_closed, p.hi),
+        key=lambda p: (p[0], not p[2], p[1]),
     )
-    out: list[Interval] = []
+    out: list[tuple] = []
     for p in ps:
         if not out:
             out.append(p)
             continue
-        q = out[-1]
+        q_lo, q_hi, q_lo_c, q_hi_c = out[-1]
+        p_lo, p_hi, p_lo_c, p_hi_c = p
         # merge when p starts inside q or exactly where q stops being covered
-        touches = p.lo < q.hi or (p.lo == q.hi and (p.lo_closed or q.hi_closed))
-        if touches:
-            if p.hi > q.hi:
-                hi, hi_c = p.hi, p.hi_closed
-            elif p.hi == q.hi:
-                hi, hi_c = q.hi, q.hi_closed or p.hi_closed
+        if p_lo < q_hi or (p_lo == q_hi and (p_lo_c or q_hi_c)):
+            if p_hi > q_hi:
+                hi, hi_c = p_hi, p_hi_c
+            elif p_hi == q_hi:
+                hi, hi_c = q_hi, q_hi_c or p_hi_c
             else:
-                hi, hi_c = q.hi, q.hi_closed
-            lo_c = q.lo_closed or (p.lo == q.lo and p.lo_closed)
-            out[-1] = Interval(q.lo, hi, lo_c, hi_c)
+                hi, hi_c = q_hi, q_hi_c
+            out[-1] = _piece(q_lo, hi, q_lo_c or (p_lo == q_lo and p_lo_c), hi_c)
         else:
             out.append(p)
     return tuple(out)
 
 
 EMPTY = IntervalSet()
-FULL_LINE = IntervalSet([Interval(-INF, INF, False, False)])
+FULL_LINE = IntervalSet([_piece(-INF, INF)])
 
 
 # -- text format ---------------------------------------------------------
@@ -277,8 +237,7 @@ def parse_interval_set(text: str) -> IntervalSet:
         if m is None:
             raise ValueError(f"cannot parse interval piece: {part.strip()!r}")
         if m.group("pt") is not None:
-            x = _parse_endpoint(m.group("pt"))
-            pieces.append(Interval(x, x, True, True))
+            pieces.append(_point(_parse_endpoint(m.group("pt"))))
         else:
             lo = _parse_endpoint(m.group("lo"))
             hi = _parse_endpoint(m.group("hi"))
@@ -302,12 +261,11 @@ def format_interval_set(s: IntervalSet) -> str:
     if s.is_empty:
         return "{}"
     parts = []
-    for p in s.pieces:
-        if p.is_point:
-            parts.append("{%s}" % _fmt_num(p.lo))
+    for lo, hi, lo_closed, hi_closed in s.pieces:
+        if lo == hi:
+            parts.append("{%s}" % _fmt_num(lo))
         else:
-            lbr = "[" if p.lo_closed else "("
-            rbr = "]" if p.hi_closed else ")"
-            parts.append(f"{lbr}{_fmt_num(p.lo)},{_fmt_num(p.hi)}{rbr}")
+            lbr = "[" if lo_closed else "("
+            rbr = "]" if hi_closed else ")"
+            parts.append(f"{lbr}{_fmt_num(lo)},{_fmt_num(hi)}{rbr}")
     return " + ".join(parts)
-

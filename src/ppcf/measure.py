@@ -104,8 +104,7 @@ class ConcreteMeasure(Measure):
             if u.contains(atom.location):
                 total += atom.weight
         if self.lebesgue:
-            lengths = [piece.hi - piece.lo for piece in _UNIT.intersect(u).pieces
-                       if not piece.is_point]
+            lengths = [hi - lo for lo, hi, _, _ in _UNIT.intersect(u).pieces if lo != hi]
             for weight in self.lebesgue:
                 if weight != 0.0:
                     for length in lengths:
@@ -143,17 +142,19 @@ def lebesgue_unit() -> ConcreteMeasure:
 
 
 class _Memoized(Measure):
+    """A measure whose masses are computed once per set: the cache is keyed
+    on the IntervalSet itself, which hashes and compares by its pieces."""
+
     __slots__ = ("_mass_cache",)
 
     def __init__(self):
         self._mass_cache: dict = {}
 
     def mass(self, u: IntervalSet) -> float:
-        key = u.key()
-        got = self._mass_cache.get(key)
+        got = self._mass_cache.get(u)
         if got is None:
             got = self._compute_mass(u)
-            self._mass_cache[key] = got
+            self._mass_cache[u] = got
         return got
 
     def _compute_mass(self, u: IntervalSet) -> float:

@@ -36,6 +36,10 @@ PreimageFn = Callable[[int, list, float, float, IntervalSet], Optional[IntervalS
 
 @dataclass(frozen=True)
 class Primitive:
+    """A named total map: ``fn`` must take floats to finite floats.
+    ``collect_outcomes`` replays runs without the machine's ``Numeral``
+    check, so a table that breaks this gets wrong values, not an error."""
+
     name: str
     arity: int
     fn: Callable[..., float]
@@ -138,13 +142,13 @@ def _unsaturated(target: IntervalSet) -> IntervalSet:
     """The unclamped results y with ``_finite(y)`` in U: the ray past each
     of +-MAXREAL goes with its end.  U itself where each ray already does
     (only an end piece reaches past MAXREAL, and it then holds the ray)."""
-    pieces = target.pieces
-    if not pieces:
+    if not target.pieces:
         return target
+    (first_lo, _, _, _), (_, last_hi, _, _) = target.pieces[0], target.pieces[-1]
     top, bottom = target.contains(MAXREAL), target.contains(-MAXREAL)
-    if top != (pieces[-1].hi == math.inf):
+    if top != (last_hi == math.inf):
         target = target.union(_PAST_MAXREAL) if top else target.difference(_PAST_MAXREAL)
-    if bottom != (pieces[0].lo == -math.inf):
+    if bottom != (first_lo == -math.inf):
         target = (target.union(_PAST_MINUS_MAXREAL) if bottom
                   else target.difference(_PAST_MINUS_MAXREAL))
     return target

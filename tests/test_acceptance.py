@@ -110,7 +110,7 @@ def test_criterion_4_exponential_and_normal():
         exp_prog, AdequacyConfig(intervals=exp_grid, runs=100_000, seed=7)
     )
     exp_dev = max(
-        abs(q.denotational - (1.0 - math.exp(-q.interval.pieces[0].hi)))
+        abs(q.denotational - (1.0 - math.exp(-q.interval.pieces[0][1])))
         for q in exp_rep.queries
     )
 
@@ -123,7 +123,7 @@ def test_criterion_4_exponential_and_normal():
         norm_prog, AdequacyConfig(intervals=norm_grid, runs=100_000, seed=8)
     )
     norm_dev = max(
-        abs(q.denotational - phi(q.interval.pieces[0].hi)) for q in norm_rep.queries
+        abs(q.denotational - phi(q.interval.pieces[0][1])) for q in norm_rep.queries
     )
 
     took = _elapsed(t0)

@@ -1,6 +1,8 @@
 """The compiled evaluator of deterministic terms against reduction."""
 
 import dataclasses
+import math
+from itertools import product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from ppcf.ir import compile_deterministic
 from ppcf.intervals import parse_interval_set
 from ppcf.parser import parse_term
-from ppcf.primitives import DEFAULT_TABLE, chi_name
+from ppcf.primitives import DEFAULT_TABLE, MAXREAL, chi_name
 from ppcf.reduction import Value, run
 from ppcf.rng import RngStream
 from ppcf.terms import REAL, SAMPLE, Abs, App, Fix, Ifz, Let, Numeral, Prim, Var, substitute
@@ -69,6 +71,23 @@ def test_compiled_equals_reduction_bit_for_bit(t, point):
     f = compile_deterministic(t, INPUTS)
     assert f is not None
     assert f(*point).hex() == _reduce(t, point).hex()
+
+
+# the float edges: the largest, both zeros, the least subnormals, and where
+# exp overflows (710) and underflows (-746)
+_EDGES = (MAXREAL, -MAXREAL, 0.0, -0.0, 5e-324, -5e-324, 710.0, -746.0)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_every_primitive_maps_finite_floats_to_finite_floats(x, y):
+    # replayed runs and compiled bodies never wrap a result in a Numeral,
+    # so they rely on this contract instead of the machine's check
+    for name in OPS + CHIS[:1]:
+        prim = DEFAULT_TABLE.lookup(name)
+        for args in product(_EDGES + (x, y), repeat=prim.arity):
+            got = prim.fn(*args)
+            assert type(got) is float and math.isfinite(got), (name, args, got)
 
 
 _NOT_DETERMINISTIC = (

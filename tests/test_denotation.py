@@ -193,16 +193,16 @@ def test_fixpoint_monotone_probe_masses(prior, lo, width):
     fun = interpret(parse_term(
         f"fun y : real -> let x = {prior} in ifz chi[[{lo!r},{lo + width!r}]](x) then y else x"
     ))
-    last = {u.key(): 0.0 for u in PROBES}
+    last = {u: 0.0 for u in PROBES}
     iterate = zero_value(REAL)
     for _ in range(10):
         iterate = fun.apply(iterate)
-        total_step = iterate.total_mass() - last[FULL_LINE.key()]
+        total_step = iterate.total_mass() - last[FULL_LINE]
         for u in PROBES:
             mass = iterate.mass(u)
-            assert mass >= last[u.key()] - 1e-9
-            assert mass - last[u.key()] <= total_step + 1e-9
-            last[u.key()] = mass
+            assert mass >= last[u] - 1e-9
+            assert mass - last[u] <= total_step + 1e-9
+            last[u] = mass
 
 
 def test_fixpoint_nonconvergent_reports(monkeypatch):

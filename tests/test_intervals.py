@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ppcf.intervals import (
     EMPTY,
     FULL_LINE,
-    Interval,
     IntervalSet,
     format_interval_set,
     parse_interval_set,
@@ -16,12 +15,12 @@ from ppcf.primitives import DEFAULT_TABLE, PrimitiveTable, chi_name
 
 
 def test_normalization_merges_adjacent_compatible():
-    s = IntervalSet([Interval(1.0, 2.0, True, False), Interval(2.0, 3.0, True, True)])
-    assert s.pieces == (Interval(1.0, 3.0, True, True),)
+    s = IntervalSet([(1.0, 2.0, True, False), (2.0, 3.0, True, True)])
+    assert s.pieces == ((1.0, 3.0, True, True),)
 
 
 def test_normalization_keeps_punctured_gap():
-    s = IntervalSet([Interval(0.0, 1.0, True, False), Interval(1.0, 2.0, False, True)])
+    s = IntervalSet([(0.0, 1.0, True, False), (1.0, 2.0, False, True)])
     assert len(s.pieces) == 2
     assert not s.contains(1.0)
 
@@ -123,7 +122,8 @@ def test_parse_union_sign():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "[0,1", "[b,2]", "[2,1]"):
+    for bad in ("", "[0,1", "[b,2]", "[2,1]", "{nan}", "{inf}", "{-inf}", "[nan,1]", "[0,nan]",
+                "(0,0)", "[inf,inf]"):
         with pytest.raises(ValueError):
             parse_interval_set(bad)
 
@@ -156,8 +156,14 @@ def test_malformed_chi_name_is_not_an_entry():
 def test_infinite_endpoints_are_open():
     s = parse_interval_set("(-inf,inf)")
     assert s == FULL_LINE
+    assert IntervalSet.interval(-math.inf, 0.0, True, True) == parse_interval_set("(-inf,0]")
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            IntervalSet.point(x)
     with pytest.raises(ValueError):
-        Interval(-math.inf, 0.0, True, True)
+        IntervalSet.interval(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        IntervalSet.closed(0.0, math.nan)
 
 
 def test_total_length():
@@ -165,9 +171,9 @@ def test_total_length():
 
 
 def test_key_is_canonical():
-    a = IntervalSet([Interval(0.0, 1.0, True, True), Interval(0.5, 2.0, True, True)])
+    a = IntervalSet([(0.0, 1.0, True, True), (0.5, 2.0, True, True)])
     b = IntervalSet.closed(0.0, 2.0)
-    assert a.key() == b.key()
+    assert a == b and hash(a) == hash(b)
 
 
 _ENDS = (-math.inf, -2.0, -0.0, 0.0, 0.5, 1.0, math.inf)
@@ -191,3 +197,43 @@ def interval_sets(draw):
 @example(IntervalSet.interval(-math.inf, 0.5, False, False), [-math.inf, 0.5, 0.25])
 def test_count_by_bisection_equals_membership(u, values):
     assert u.count(sorted(values)) == sum(u.contains(v) for v in values)
+
+
+def _probes(*sets):
+    """Both zeros, every end of the sets with its float neighbours, and the
+    midpoints between consecutive ends: the reals where membership can change."""
+    ends = sorted({e for s in sets for lo, hi, _, _ in s.pieces for e in (lo, hi)})
+    probes = [-0.0, 0.0]
+    for e in ends:
+        probes += [math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)]
+    probes += [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+    return [x for x in probes if math.isfinite(x)]
+
+
+def _assert_canonical(s):
+    for lo, hi, lo_closed, hi_closed in s.pieces:
+        assert lo <= hi
+        assert not (lo == -math.inf and lo_closed) and not (hi == math.inf and hi_closed)
+        assert lo != hi or (lo_closed and hi_closed)
+    # sorted, and apart: _normalize merges pieces that overlap or touch
+    for (_, q_hi, _, q_hi_closed), (p_lo, _, p_lo_closed, _) in zip(s.pieces, s.pieces[1:]):
+        assert q_hi < p_lo or (q_hi == p_lo and not q_hi_closed and not p_lo_closed)
+
+
+@given(interval_sets(), interval_sets())
+@example(IntervalSet.point(0.0), IntervalSet.interval(-0.0, 1.0, False, True))
+@example(parse_interval_set("[0,1) + (1,2]"), IntervalSet.point(1.0))
+def test_set_algebra_agrees_with_membership(a, b):
+    results = {
+        "union": (a.union(b), lambda x: a.contains(x) or b.contains(x)),
+        "intersect": (a.intersect(b), lambda x: a.contains(x) and b.contains(x)),
+        "complement": (a.complement(), lambda x: not a.contains(x)),
+        "difference": (a.difference(b), lambda x: a.contains(x) and not b.contains(x)),
+    }
+    for name, (s, member) in results.items():
+        _assert_canonical(s)
+        for x in _probes(a, b):
+            assert s.contains(x) == member(x), (name, s, x)
+    # the memo caches key on sets: a non-canonical one would miss silently
+    assert a.union(b) == b.union(a) and hash(a.union(b)) == hash(b.union(a))
+    assert a.complement().complement() == a

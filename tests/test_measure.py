@@ -190,7 +190,7 @@ def _at_an_end(fn, u: IntervalSet, pre: IntervalSet, x: float) -> bool:
         return True
 
     def ends(s):
-        return [e for p in s.pieces for e in (p.lo, p.hi) if math.isfinite(e)]
+        return [e for lo, hi, _, _ in s.pieces for e in (lo, hi) if math.isfinite(e)]
 
     def at(y, c):
         return abs(y - c) <= 4.0 * math.ulp(c)
