@@ -37,8 +37,8 @@ PreimageFn = Callable[[int, list, float, float, IntervalSet], Optional[IntervalS
 @dataclass(frozen=True)
 class Primitive:
     """A named total map: ``fn`` must take floats to finite floats.
-    ``collect_outcomes`` replays runs without the machine's ``Numeral``
-    check, so a table that breaks this gets wrong values, not an error."""
+    The machine and ``collect_outcomes``'s compiled replay both raise
+    ``Numeral``'s error on a result outside +-MAXREAL."""
 
     name: str
     arity: int

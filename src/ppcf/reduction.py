@@ -15,21 +15,31 @@ substitutes into the term, so the cost of a step does not grow with
 the term.  It counts exactly the contractions the rules count, draws
 in the same order and calls the same primitives on the same floats.
 
-``collect_outcomes`` first runs the machine once over symbolic draws.
-Only ``ifz`` reads a value, so a run that meets no ``ifz`` takes the
-same steps and calls the same primitives whatever it draws.  When that
-run ends in a value, its draws and primitive results are lowered to one
-``ir`` code list and compiled, and every run replays it on its own
-stream; every run of any other program goes to ``run``.
+``collect_outcomes`` lays the runs' paths out as a tree of straight-line
+code (Gal and Franz, "Incremental dynamic code generation with trace
+trees", 2006).  Only ``ifz`` reads a value, so a run's contractions,
+draws and primitive calls up to its next ``ifz`` on a drawn value do not
+depend on what it draws.  A recording run is a real run on the machine:
+each draw and primitive result is a slot holding its real float, each
+``ifz`` on a slot ends a segment of the path and branches, and a ``fix``
+state that repeats an earlier one of the same run (the same node,
+environment and frames, by identity) is a back edge, since the machine
+goes on from there as it did the first time.  The tree compiles through
+``ir.compile_tree`` to one function, and every run executes it on its own
+stream.  A run that reaches a branch nobody has taken goes on through
+the recording machine, which first serves it the draws and results it
+already has, and adds its path to the tree.  After ``MAX_RECORDINGS``
+recordings such a run goes on through ``run`` instead, and after a
+recording that ends stuck every run does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .intervals import IntervalSet
-from .ir import compile_code
+from .ir import SAMPLE, compile_tree
 from .primitives import DEFAULT_TABLE, PrimitiveTable
 from .rng import RngStream
 from .terms import (
@@ -219,9 +229,11 @@ def run(t: Term, budget: int, rng: RngStream, table: PrimitiveTable = DEFAULT_TA
     one up costs no step.  Every contraction the rules count (beta, `fix`,
     `ifz` and `let` of a numeral, an all-numeral primitive, `sample`)
     first tests `steps == budget`.  A stuck state is handed to the spec.
+    A recording run (a `_Recorder` as stream) sees each `fix` state.
     """
     if budget < 0:
         raise ValueError("run needs budget >= 0")
+    recorder = rng if type(rng) is _Recorder else None
     steps = 0
     draws: list[float] = []
     results: list[float] = []
@@ -268,6 +280,8 @@ def run(t: Term, budget: int, rng: RngStream, table: PrimitiveTable = DEFAULT_TA
             term = term.bound
             continue
         elif cls is Fix:
+            if recorder is not None:
+                recorder.at_fix(term, env, stack, steps)
             if steps == budget:
                 return Exhausted(budget)
             steps += 1
@@ -318,26 +332,37 @@ def run(t: Term, budget: int, rng: RngStream, table: PrimitiveTable = DEFAULT_TA
 
 
 class _Replay:
-    """A run's draws and primitive results, served again in order."""
+    """A run's first draws and primitive results, served again in order;
+    past them, the draws of `rng` and the primitives of `table`."""
 
-    def __init__(self, draws: list[float], results: list[float]):
-        self.uniform = iter(draws).__next__
-        self._next_result = iter(results).__next__
+    def __init__(self, draws, results, rng=None, table=None):
+        self._draws, self._results = iter(draws), iter(results)
+        self.rng, self.table = rng, table
 
-    def lookup(self, name: str) -> _Replay:
-        return self
+    def uniform(self) -> float:
+        for value in self._draws:
+            return value
+        self.uniform = self.rng.uniform
+        return self.uniform()
+
+    def lookup(self, name: str):
+        for value in self._results:
+            self.value = value
+            return self
+        self.lookup = self.table.lookup
+        return self.lookup(name)
 
     def fn(self, *values: float) -> float:
-        return self._next_result()
+        return self.value
 
 
 def _stuck(t: Term, steps: int, draws: list[float], results: list[float]) -> StuckNormal:
     """The spec's stuck term: replay the machine's steps with `step`.
 
-    The replay reads the run's own draws and primitive results, so the
-    caller's stream and table see each call once.
+    The replay reads the run's own draws and primitive results as plain
+    floats, so the caller's stream and table see each call once.
     """
-    replay = _Replay(draws, results)
+    replay = _Replay(map(float, draws), map(float, results))
     for _ in range(steps):
         t = step(t, replay, replay)
     if isinstance(decompose(t), Split):
@@ -345,87 +370,189 @@ def _stuck(t: Term, steps: int, draws: list[float], results: list[float]) -> Stu
     return StuckNormal(t, steps)
 
 
-class _Guarded(Exception):
-    """A recording run compared a slot: its path depends on its draws."""
+# recording runs per collect_outcomes call; past them, a run the tree does
+# not cover finishes on `run`, so loops whose state never repeats stay bounded
+MAX_RECORDINGS = 8
 
 
 class _Slot(float):
-    """A draw or primitive result of a recording run.  Its float value is
-    its event index; comparing it (an ``ifz``) stops the recording."""
+    """A draw or primitive result of a recording run: its real value, its
+    code slot `i`, and the recorder that an ``ifz`` on it reports to."""
 
-    __slots__ = ()
+    __slots__ = ("i", "recorder")
 
     def __eq__(self, other):
-        raise _Guarded
+        taken = float(self) == other
+        self.recorder.guard(self.i, taken)
+        return taken
 
 
 class _Recorder:
-    """Stream and table of a recording run: each draw and primitive call
-    returns a fresh slot and logs an event, None or (primitive, args)."""
+    """Stream, table and budget of one recording run, laying its path
+    along the tree `root` over the code list `code`.
 
-    def __init__(self, table: PrimitiveTable):
-        self.table = table
-        self.events: list = []
+    Where the tree has the path, each event takes the tree's slot; past
+    its end, the run's events are appended.  The run's first draws and
+    primitive results are `draws` and `results`; the rest come from
+    `stream` and `table`, and each primitive's ``fn`` gets plain floats.
+    The machine tests ``steps == budget`` before every contraction, and
+    with a recorder as budget that test hands the recorder the step count.
+    """
 
-    def _slot(self, event) -> _Slot:
-        self.events.append(event)
-        return _Slot(len(self.events) - 1)
+    def __init__(self, code, root, budget, draws, results, stream, table):
+        self.code, self.budget, self.table = code, budget, table
+        self.source = _Replay(draws, results, stream, table)
+        self.node, self.at, self.base = root, 0, 0
+        self.steps = 0
+        self.states = {}  # a fix state -> (its node, the objects it names)
+
+    def __lt__(self, other):
+        return self.budget < other
+
+    def __eq__(self, steps):
+        self.steps = steps
+        return steps == self.budget
 
     def uniform(self) -> _Slot:
-        return self._slot(None)
+        return self._event(SAMPLE, (), self.source.uniform())
 
-    def lookup(self, name: str):
-        prim = self.table.lookup(name)
-        return replace(prim, fn=lambda *values: self._slot((prim, values)))
+    def lookup(self, name: str) -> _Recorder:
+        self.op, self.prim = name, self.table.lookup(name)
+        return self
 
-    def compile(self, out: float):
-        """(body, draws): the recorded value as compiled code of the draws."""
-        draws = [i for i, event in enumerate(self.events) if event is None]
-        at = {i: j for j, i in enumerate(draws)}  # event index -> code slot
-        code: list = [(None, None)] * len(draws)
+    def fn(self, *values: float) -> _Slot:
+        return self._event(self.prim, values, self.source.lookup(self.op).fn(*map(float, values)))
 
-        def slot(v):
-            if type(v) is _Slot:
-                return at[int(v)]
-            code.append((None, v))
-            return len(code) - 1
+    def _event(self, prim, values, value: float) -> _Slot:
+        step = self.steps + 1 - self.base
+        events = self.node[0]
+        if self.at < len(events):
+            i, recorded = events[self.at]
+            if recorded != step:
+                raise InvariantViolation("a run left its recorded path")
+        else:
+            self._past_tree()  # raises unless the recording goes on from here
+            self.code.append((prim, tuple(map(self._ref, values))))
+            i = len(self.code) - 1
+            events.append((i, step))
+        self.at += 1
+        slot = _Slot(value)
+        slot.i, slot.recorder = i, self
+        return slot
 
-        for i, event in enumerate(self.events):
-            if event is not None:
-                prim, values = event
-                code.append((prim, tuple(slot(v) for v in values)))
-                at[i] = len(code) - 1
-        return compile_code(code, len(draws), slot(out)), len(draws)
+    def _ref(self, value: float) -> int:
+        if type(value) is _Slot:
+            return value.i
+        self.code.append((None, value))
+        return len(self.code) - 1
+
+    def _past_tree(self, kind: str | None = None, step: int = 0) -> bool:
+        """Whether the run is past the tree here, at an open end that the
+        recording goes on from; if not, the tree ends here in `kind` at
+        `step`."""
+        end = self.node[1]
+        if self.at == len(self.node[0]):
+            if end[0] == "open":
+                return True
+            if end[0] == kind and end[1] == step:
+                return False
+        raise InvariantViolation("a run left its recorded path")
+
+    def _enter(self, node, steps: int) -> None:
+        self.node, self.at, self.base = node, 0, steps
+
+    def guard(self, i: int, taken: bool) -> None:
+        step = self.steps + 1 - self.base
+        if self._past_tree("guard", step):
+            self.node[1] = ["guard", step, i, None, None]
+        end = self.node[1]
+        if end[2] != i:
+            raise InvariantViolation("a run left its recorded path")
+        branch = 3 if taken else 4
+        if end[branch] is None:
+            end[branch] = [[], ("open", 0)]
+        self._enter(end[branch], self.steps + 1)
+
+    def at_fix(self, term, env, stack, steps: int) -> None:
+        """A back edge when this state repeats one of this run: the same
+        node, environment and frames, and as many values in each
+        primitive frame."""
+        key = (id(term), id(env), tuple(map(id, stack)),
+               tuple(len(frame[3]) for frame in stack if frame[0] == _PRIM))
+        seen = self.states.get(key)
+        step = steps - self.base
+        if self._past_tree("jump", step):
+            self.node[1] = ("jump", step, [[], ("open", 0)] if seen is None else seen[0])
+        target = self.node[1][2]
+        if seen is None:
+            self.states[key] = (target, term, env, list(stack))
+        elif seen[0] is not target:
+            raise InvariantViolation("a run left its recorded path")
+        self._enter(target, steps)
+
+    def finish(self, outcome: Outcome) -> Outcome:
+        """The run's outcome, its end laid into the tree."""
+        if type(outcome) is Value:
+            step = outcome.steps - self.base
+            if self._past_tree("value", step):
+                self.node[1] = ("value", step, self._ref(outcome.value))
+            return Value(float(outcome.value), outcome.steps)
+        end = self.node[1]
+        if self.at == len(self.node[0]) and end[0] == "open":
+            self.node[1] = ("open", max(end[1], self.budget + 1 - self.base))
+        return Exhausted(self.budget)
 
 
 def collect_outcomes(t: Term, runs: int, budget: int, seed: int,
                      table: PrimitiveTable = DEFAULT_TABLE) -> list[Outcome]:
     """Independent reproducible runs; run i owns stream offset i * 2**40.
 
-    `run` first reduces `t` once with a recorder for stream and table, so
-    draws and primitive results are slots.  If that run reaches a value
-    without an ``ifz`` comparing a slot, every run takes its steps and
-    calls its primitives, and each run is the recorded code replayed on
-    its own draws: ``uniform`` once per draw in draw order, then each
-    primitive's ``fn`` from `table` in the machine's order, on the floats
-    the machine would pass it.  The values are the machine's since a
-    primitive maps floats to finite floats, so the ``Numeral`` the
-    machine wraps each result in keeps it as it is.  Any other recording
-    (an ``ifz``, a stuck term or an exhausted budget) sends every run to
-    `run`.
+    Every run has `run`'s outcome, draws the same stream positions and
+    calls each primitive's ``fn`` from `table` on the same floats in the
+    same order.  Run 0 is recorded; every later run executes the compiled
+    tree on its own stream.  The tree's code makes the machine's draws and
+    calls in its order and tests the budget once per node.  At a branch
+    no run has taken, or at an open end, the run goes on through the
+    recording machine, served its draws and results so far, and the tree
+    grows by its path and compiles again.  Once `MAX_RECORDINGS` runs
+    have been recorded, such a run goes on through `run` instead.  A
+    recording that ends stuck sends every later run to `run`.
     """
     if budget < 0:
         raise ValueError("collect_outcomes needs budget >= 0")
-    recorder = _Recorder(table)
-    try:
-        recorded = run(t, budget, recorder, recorder)
-    except _Guarded:
-        recorded = None
-    if not isinstance(recorded, Value):
-        return [run(t, budget, RngStream.for_run(seed, i), table) for i in range(runs)]
-    body, draws = recorder.compile(recorded.value)
-    streams = (RngStream.for_run(seed, i) for i in range(runs))
-    return [Value(body(*[s.uniform() for _ in range(draws)]), recorded.steps) for s in streams]
+    code, root = [], [[], ("open", 0)]
+    body, logs, recordings = None, False, 0
+    exhausted = Exhausted(budget)
+    outcomes = []
+    for i in range(runs):
+        stream = RngStream.for_run(seed, i)
+        draws = results = ()
+        if body is not None:
+            if logs:
+                draws, results = [], []
+                got = body(stream.uniform, draws.append, results.append)
+            else:
+                got = body(stream.uniform, None, None)
+            if got is None:
+                outcomes.append(exhausted)
+                continue
+            if got is not False:
+                outcomes.append(Value(*got))
+                continue
+        if recordings == MAX_RECORDINGS:
+            replay = _Replay(draws, results, stream, table)
+            outcomes.append(run(t, budget, replay, replay))
+            continue
+        recordings += 1
+        recorder = _Recorder(code, root, budget, draws, results, stream, table)
+        outcome = run(t, recorder, recorder, recorder)
+        if type(outcome) is StuckNormal:
+            body, recordings = None, MAX_RECORDINGS
+            outcomes.append(outcome)
+            continue
+        outcomes.append(recorder.finish(outcome))
+        body, logs = compile_tree(code, root, budget)
+    return outcomes
 
 
 def dkw_bound(runs: int, confidence: float) -> float:

@@ -81,8 +81,8 @@ _EDGES = (MAXREAL, -MAXREAL, 0.0, -0.0, 5e-324, -5e-324, 710.0, -746.0)
 @given(st.floats(allow_nan=False, allow_infinity=False),
        st.floats(allow_nan=False, allow_infinity=False))
 def test_every_primitive_maps_finite_floats_to_finite_floats(x, y):
-    # replayed runs and compiled bodies never wrap a result in a Numeral,
-    # so they rely on this contract instead of the machine's check
+    # compiled let bodies never wrap a result in a Numeral, so they rely
+    # on this contract; replayed runs check it as the machine does
     for name in OPS + CHIS[:1]:
         prim = DEFAULT_TABLE.lookup(name)
         for args in product(_EDGES + (x, y), repeat=prim.arity):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from ppcf.intervals import IntervalSet, parse_interval_set
 from ppcf.parser import parse_term
-from ppcf.primitives import DEFAULT_TABLE, chi_name
+from ppcf import reduction
+from ppcf.primitives import DEFAULT_TABLE, Primitive, chi_name
 from ppcf.reduction import (
     Exhausted,
     InvariantViolation,
@@ -394,6 +396,12 @@ def test_machine_matches_the_rules(t, seed):
         assert table.calls == spec_table.calls[:n_calls]
 
 
+# loops whose fix state never repeats: the argument grows, or the stack
+COUNTER = ("(fix (fun f : (real -> real) -> fun n : real -> "
+           "ifz sample <= 0.5 then n else f (n + 1))) 0")
+GROWING = "fix (fun y : real -> let x = sample in #ifU(x, [0,0.05], x * 2, y * 0.5))"
+
+
 def _counted(collect):
     """(outcomes, the stream positions drawn, the primitive calls) of
     `collect` given a fresh RecordingTable."""
@@ -418,6 +426,13 @@ def _counted(collect):
 @example(parse_term("#observe([0,0.3]) sample"), 4)  # guarded
 @example(parse_term("#expectation(3) (fun x : real -> x) sample"), 5)  # exhausts budget 3
 @example(App(Prim("add", (SAMPLE, Numeral(1.0))), SAMPLE), 6)  # stuck
+@example(parse_term("#observe([0.2,0.25]) sample"), 7)  # a loop of one guard
+@example(parse_term("#observe([0.3,0.8]) #exponential"), 8)
+@example(parse_term("#observe([0,0.5]) sample + 1"), 9)  # a frame that stays put
+@example(parse_term("#observe([0,0.5]) (#observe([0.2,0.9]) sample)"), 10)  # nested loops
+@example(parse_term("ifz sample <= 0.5 then sample else sample * 2"), 11)  # a guard, no loop
+@example(parse_term(COUNTER), 12)  # a state that never repeats
+@example(parse_term(GROWING), 13)  # a stack that grows
 def test_collect_outcomes_is_run_by_run_the_machine(t, seed):
     runs = 3
     for budget in (0, 3, 40, 10_000):
@@ -428,3 +443,78 @@ def test_collect_outcomes_is_run_by_run_the_machine(t, seed):
         assert len(got) == runs and all(map(_same, got, want)), (budget, got, want)
         assert got_draws == want_draws
         assert got_calls == want_calls
+
+
+@pytest.mark.parametrize("src", [
+    "#observe([0.2,0.25]) sample",
+    "#observe([0.3,0.8]) #exponential",
+    "#observe([0,0.5]) sample + 1",
+    "#observe([0,0.5]) (#observe([0.2,0.9]) sample)",
+    "ifz sample <= 0.5 then sample else sample * 2",
+    COUNTER,
+    GROWING,
+])
+def test_guarded_runs_replay_as_the_machine_runs_them(src):
+    # enough runs that replays, runs falling off the tree and budgets
+    # running out partway through a loop all happen
+    t, runs = parse_term(src), 300
+    for budget in (0, 3, 40, 10_000):
+        want, want_draws, want_calls = _counted(
+            lambda table: [run(t, budget, RngStream.for_run(11, i), table) for i in range(runs)])
+        got, got_draws, got_calls = _counted(
+            lambda table: collect_outcomes(t, runs, budget, 11, table))
+        assert all(map(_same, got, want)), budget
+        assert got_draws == want_draws
+        assert got_calls == want_calls
+
+
+def _mechanism(src, runs):
+    """(compiles, recording runs, other runs) of one collect_outcomes call."""
+    counts = {"compiles": 0, "recordings": 0, "runs": 0}
+    compile_tree, machine = reduction.compile_tree, reduction.run
+
+    def counted_compile(*args):
+        counts["compiles"] += 1
+        return compile_tree(*args)
+
+    def counted_run(t, budget, rng, table=DEFAULT_TABLE):
+        counts["recordings" if isinstance(rng, reduction._Recorder) else "runs"] += 1
+        return machine(t, budget, rng, table)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "compile_tree", counted_compile)
+        mp.setattr(reduction, "run", counted_run)
+        collect_outcomes(parse_term(src), runs, 10_000, 1)
+    return counts
+
+
+def test_a_rejection_loop_is_recorded_then_replayed():
+    counts = _mechanism("#observe([0.2,0.25]) sample", 2_000)
+    assert 1 <= counts["compiles"] <= 3
+    assert counts["recordings"] == counts["compiles"] and counts["runs"] == 0
+
+
+@pytest.mark.parametrize("src", [COUNTER, GROWING])
+def test_recording_stops_at_the_cap(src):
+    counts = _mechanism(src, 2_000)
+    assert counts["recordings"] == counts["compiles"] == reduction.MAX_RECORDINGS
+    assert counts["runs"] > 0  # runs past the tree go on through the machine
+
+
+INF_ADD = DEFAULT_TABLE.with_override("add", Primitive("add", 2, lambda a, b: math.inf))
+# finite for the first runs of seed 0, so a run that replays the tree meets it
+LATE_INF_ADD = DEFAULT_TABLE.with_override(
+    "add", Primitive("add", 2, lambda a, b: math.inf if a > 0.98 else a + b))
+
+
+@pytest.mark.parametrize("table", [INF_ADD, LATE_INF_ADD])
+@pytest.mark.parametrize("src", ["sample + 1", "#observe([0,0.5]) (sample + 1)",
+                                 "#observe([1,1.5]) (sample + 1)"])
+def test_replay_keeps_the_primitive_contract(src, table):
+    t, runs = parse_term(src), 200
+    with pytest.raises(ValueError) as want:
+        for i in range(runs):
+            run(t, 100, RngStream.for_run(0, i), table)
+    with pytest.raises(ValueError) as got:
+        collect_outcomes(t, runs, 100, 0, table)
+    assert str(got.value) == str(want.value) == "numerals must be finite, got inf"
