@@ -15,13 +15,22 @@ replaces, bit for bit.  A third let nests.  Where the body inverts on
 its last input (``ir.preimage``), a mass query pulls the set back to an
 interval set of that input, from the ``hull()`` of the last bound
 measure, and integrates the outer input with the let-integral's
-``MASS_REFINE`` pre-split.  Any other body falls back to quadrature.
+``MASS_REFINE`` pre-split.
+
+A body that does not lower but is a guard splits as the paper's ``ifz``
+splits a measure: ``let x = M in ifz S then A else B``, M continuous and
+S inverting in x, is ``let x = M|V0 in A`` plus ``let x = M|V1 in B``,
+with V0 and V1 the preimages of ``{0}`` and its complement under S and
+``M|V`` the restriction ``U |-> M(U ∩ V)``.  A branch without x is its
+meaning times ``M(V)``; x alone is ``M|V``.  Any other body falls back
+to quadrature.
 
 A ground ``fix (fun y : real -> M)`` whose ``y`` occurs in ``M`` only in
 tail position (``M`` itself, an ``ifz`` branch, a ``let`` body) is solved
 in closed form.  Its functional is affine, ``F(nu) = A + q*nu`` with
 ``A = F(0)`` and ``q = |F(delta_0)| - |A|``, so the least fixpoint is the
-geometric series ``A / (1 - q)``.  Every ``#observe`` is such a loop.
+geometric series ``A / (1 - q)``.  Every ``#observe`` is such a loop,
+and its ``A`` is its prior restricted to the window.
 
 Every other ``fix`` is Kleene iteration from the zero value.  Iteration
 stops when the total mass moves by less than ``MASS_TOL``.  The iterates
@@ -45,6 +54,7 @@ from .measure import (
     FixpointChainMeasure,
     IntegralMeasure,
     Measure,
+    RestrictedMeasure,
     dirac,
     lebesgue_unit,
     mix,
@@ -143,13 +153,7 @@ def interpret(t: Term, env: dict | None = None, *, table: PrimitiveTable = DEFAU
                     coeffs.append(p_nonzero)
                 return mix(coeffs, branches)
             case Let(name, bound, body):
-                bound_measure = _ground(den(bound, env))
-                pushed = _let_pushforward(t, bound_measure, env, table,
-                                          lambda b: _ground(den(b, env)))
-                if pushed is not None:
-                    return pushed
-                return let_bind(bound_measure,
-                                lambda r: _ground(den(body, {**env, name: dirac(r)})))
+                return den_let(name, _ground(den(bound, env)), body, env)
             case Fix(body):
                 fun = den(body, env)
                 if not isinstance(fun, SemFunction):
@@ -161,6 +165,25 @@ def interpret(t: Term, env: dict | None = None, *, table: PrimitiveTable = DEFAU
                 return fixpoint(fun)
         raise TypeError(f"not a term: {t!r}")
 
+    def den_let(name: str, bound: Measure, body: Term, env: dict) -> Measure:
+        """``let name = M in body``, with M's meaning `bound`."""
+        pushed = _let_pushforward(name, bound, body, env, table, lambda b: _ground(den(b, env)))
+        if pushed is not None:
+            return pushed
+        sides = _guard_sides(name, bound, body, env, table)
+        if sides is None:
+            return let_bind(bound, lambda r: _ground(den(body, {**env, name: dirac(r)})))
+        coeffs, measures = [], []
+        for side, branch in zip(sides, (body.then, body.otherwise)):
+            part = RestrictedMeasure(bound, side)
+            if name in free_vars(branch):
+                coeffs.append(1.0)
+                measures.append(part if branch == Var(name) else den_let(name, part, branch, env))
+            else:
+                coeffs.append(part.total_mass())
+                measures.append(_ground(den(branch, env)) if coeffs[-1] else ConcreteMeasure())
+        return mix(coeffs, measures)
+
     return den(t, {} if env is None else env)
 
 
@@ -170,30 +193,46 @@ def _ground(v) -> Measure:
     return v
 
 
-def _let_pushforward(t: Let, first: Measure, env: dict, table: PrimitiveTable,
-                     ground) -> Measure | None:
-    """The pushforward a ``let`` denotes when its body lowers, else None.
+def _let_pushforward(name: str, first: Measure, body: Term, env: dict,
+                     table: PrimitiveTable, ground) -> Measure | None:
+    """The pushforward ``let name = M in body`` denotes when its body
+    lowers, else None; `first` is M's meaning.
 
     ``let x = M in let y = N in P`` with x not free in N, N not lowering
     and both bounds continuous is one pushforward of M and N along P
     lowered in (x, y); any other ``let`` whose body lowers in (x,) is
     one of M.  `ground` interprets N in `env`.
     """
-    names, bounds, body = (t.name,), [first], t.body
+    names, bounds = (name,), [first]
     code, out = ir.lower(body, names, env, table)
     if (out is None and first.has_continuous and isinstance(body, Let)
-            and t.name not in free_vars(body.bound)):
+            and name not in free_vars(body.bound)):
         # where P lowers in (x, y), N does not, or the body would have
-        names, body = (t.name, body.name), body.body
-        code, out = ir.lower(body, names, env, table)
+        names = (name, body.name)
+        code, out = ir.lower(body.body, names, env, table)
         if out is not None:
-            bounds.append(ground(t.body.bound))
+            bounds.append(ground(body.bound))
     # an atom-only N mixes exactly unfused
     if out is None or not all(m.has_continuous for m in bounds[1:]):
         return None
     n = len(names)
     return pushforward(Primitive("let", n, ir.compile_code(code, n, out), ir.preimage(code, out, n)),
                        bounds, MASS_REFINE)
+
+
+def _guard_sides(name: str, bound: Measure, body: Term, env: dict, table: PrimitiveTable):
+    """The preimages of ``{0}`` and its complement under S for a body
+    ``ifz S then A else B``, or None unless `bound` is continuous and S
+    inverts in `name`."""
+    if not (bound.has_continuous and isinstance(body, Ifz)):
+        return None
+    code, out = ir.lower(body.scrutinee, (name,), env, table)
+    pull_back = None if out is None else ir.preimage(code, out, 1)
+    if pull_back is None:
+        return None
+    lo, hi = bound.hull()
+    sides = tuple(pull_back(0, [None], lo, hi, s) for s in (_ZERO_SET, _NONZERO_SET))
+    return None if None in sides else sides
 
 
 def let_bind(bound: Measure, body) -> Measure:

@@ -26,10 +26,12 @@ the node's last contraction count and what follows it:
   contractions to get here.
 
 ``compile_tree`` turns a tree into one function that loops on its back
-edges.
+edges.  Each distinct source text compiles once.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .measure import ConcreteMeasure
 from .primitives import DEFAULT_TABLE, MAXREAL, Primitive, PrimitiveTable, range_image
@@ -98,6 +100,13 @@ def _assign(code: list, i: int, namespace: dict) -> str:
     return f"s{i} = c{i}{call}"
 
 
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str):
+    """`source` as a code object: constants and primitives enter through
+    the namespace it runs in, so same-shaped code shares one."""
+    return compile(source, "<string>", "exec")
+
+
 def compile_code(code: list, n: int, outs, skip=()):
     """A function of the `n` inputs computing every slot of `code` outside
     `skip` once, in code order, and returning slot `outs` or the tuple of
@@ -108,7 +117,7 @@ def compile_code(code: list, n: int, outs, skip=()):
     lines += [f"    {_assign(code, i, namespace)}" for i in range(n, len(code)) if i not in skip]
     result = f"s{outs}" if isinstance(outs, int) else "".join(f"s{j}, " for j in outs)
     lines.append(f"    return ({result})")
-    exec("\n".join(lines), namespace)
+    exec(_compiled("\n".join(lines)), namespace)
     return namespace["body"]
 
 
@@ -227,8 +236,8 @@ def compile_tree(code: list, root: list, budget: int):
             lines.append(f"        {head}")
         go(node, 3 if len(blocks) > 1 else 2, budget if node is root and ways[id(root)] == 1 else None)
     logs = any(line.endswith("return False") for line in lines if type(line) is str)
-    exec("\n".join(line if type(line) is str else line[0] for line in lines
-                   if logs or type(line) is str), namespace)
+    exec(_compiled("\n".join(line if type(line) is str else line[0] for line in lines
+                              if logs or type(line) is str)), namespace)
     return namespace["body"], logs
 
 

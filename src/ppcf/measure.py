@@ -7,7 +7,8 @@ denotes is a pushforward of it.  Their masses are exact: an atom adds its
 weight, and a Lebesgue weight adds ``weight * length``.
 *Queryable* measures (primitive pushforwards, ``let``-integrals,
 weighted sums, fixpoint chains) answer ``mass(U)`` and ``integrate(g)``
-on demand and memoize mass queries per interval set.
+on demand and memoize mass queries per interval set.  A
+``RestrictedMeasure``, U |-> M(U ∩ V), is exact where M is.
 
 Exactness strategy for pushforwards: all-atom argument lists collapse to
 exact atom products at construction; otherwise the innermost integration
@@ -112,15 +113,21 @@ class ConcreteMeasure(Measure):
         return total
 
     def integrate(self, g, refine: int = 0) -> float:
+        return self.integrate_on(FULL_LINE, g, refine)
+
+    def integrate_on(self, v: IntervalSet, g, refine: int = 0) -> float:
+        """g integrated over `v`: a Lebesgue weight over ``v ∩ [0,1]``."""
         total = 0.0
         for atom in self.atoms:
-            if atom.weight != 0.0:
+            if atom.weight != 0.0 and v.contains(atom.location):
                 total += atom.weight * g(atom.location)
         if self.lebesgue:
             knots = tuple(k / refine for k in range(1, refine)) if refine > 1 else ()
+            pieces = [(lo, hi) for lo, hi, _, _ in _UNIT.intersect(v).pieces if lo != hi]
             for weight in self.lebesgue:
                 if weight != 0.0:
-                    total += weight * integrate_adaptive(g, 0.0, 1.0, knots=knots)
+                    for lo, hi in pieces:
+                        total += weight * integrate_adaptive(g, lo, hi, knots=knots)
         return total
 
     def hull(self) -> tuple[float, float]:
@@ -311,6 +318,29 @@ class FixpointChainMeasure(Measure):
 
     def integrate(self, g, refine: int = 0) -> float:
         return self.chain[-1].integrate(g, refine)
+
+
+class RestrictedMeasure(Measure):
+    """U |-> base(U ∩ support), with the base's hull: a ``let`` bound on
+    one side of a guard.  A concrete base integrates over the support's
+    pieces, so no step reaches the quadrature."""
+
+    has_continuous = True  # built from a continuous base only
+
+    def __init__(self, base: Measure, support: IntervalSet):
+        self.base = base
+        self.support = support
+
+    def mass(self, u: IntervalSet) -> float:
+        return self.base.mass(u.intersect(self.support))
+
+    def integrate(self, g, refine: int = 0) -> float:
+        if isinstance(self.base, ConcreteMeasure):
+            return self.base.integrate_on(self.support, g, refine)
+        return self.base.integrate(lambda r: g(r) if self.support.contains(r) else 0.0, refine)
+
+    def hull(self) -> tuple[float, float]:
+        return self.base.hull()
 
 
 def mix(coeffs, measures) -> Measure:

@@ -1,9 +1,13 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 import ppcf.denotation
+import ppcf.measure
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +262,90 @@ def test_observe_exponential_closed_form():
 def test_nested_observe_closed_form():
     got = _mass("#observe([0,0.5]) (#observe([0.2,0.9]) sample)", IntervalSet.closed(0.2, 0.35))
     assert abs(got - 0.5) < 1e-12
+
+
+# -- guard splits -----------------------------------------------------------------
+
+_SUPPORTS = {"sample": (0.0, 1.0), "#exponential": (0.0, math.inf), "(2 * sample - 1)": (-1.0, 1.0)}
+
+
+def _observed_cdf(prior: str, lo: float, hi: float, z: float) -> float:
+    """P(X <= z | lo <= X <= hi) for X drawn from `prior`, in exact
+    arithmetic on the floats given (60 digits for the exponential)."""
+    a, b = _SUPPORTS[prior]
+    lo, hi = max(lo, a), min(hi, b)
+    top = min(max(z, lo), hi)
+    if prior == "#exponential":
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            lo, top, hi = ((-Decimal(v)).exp() for v in (lo, top, hi))
+            return float((lo - top) / (lo - hi))
+    return float((Fraction(top) - Fraction(lo)) / (Fraction(hi) - Fraction(lo)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prior=st.sampled_from(sorted(_SUPPORTS)),
+    place=st.floats(0.0, 1.0),
+    width=st.floats(1e-6, 0.9),
+    at=st.floats(-0.25, 1.25),
+)
+@example(prior="sample", place=0.6, width=0.5, at=0.004)  # a sliver of [0.3,0.8]
+@example(prior="#exponential", place=0.1, width=1e-6, at=0.5)
+def test_observe_masses_match_closed_forms(prior, place, width, at):
+    # the window splits the prior exactly, so only rounding is left: about
+    # 1e-16 of the prior's mass, relative to the window's mass
+    a, b = _SUPPORTS[prior]
+    lo = a + place * (min(b, 2.0) - a - width)
+    hi, z = lo + width, lo + at * width
+    got = _mass(f"#observe([{lo!r},{hi!r}]) {prior}", parse_interval_set(f"(-inf,{z!r}]"))
+    assert abs(got - _observed_cdf(prior, lo, hi, z)) <= 1e-15 + 1e-15 / width
+
+
+@pytest.mark.parametrize("src", ["#observe([0.3,0.8]) sample", "#observe([0.2,0.9]) #exponential"])
+def test_observe_queries_need_no_quadrature(src, monkeypatch):
+    # the loop's meaning is its prior restricted to the window, so every
+    # CDF query is an interval-set mass
+    m = interpret(parse_term(src))
+    calls = []
+
+    def counting(f, a, b, **kwargs):
+        calls.append((a, b))
+        return integrate_adaptive(f, a, b, **kwargs)
+
+    monkeypatch.setattr(ppcf.measure, "integrate_adaptive", counting)
+    masses = [m.mass(u) for u in cdf_grid(-0.5, 1.5, 20)]
+    assert calls == []
+    assert masses[0] == 0.0 and abs(masses[-1] - 1.0) < 1e-15
+
+
+def test_a_branch_that_does_not_lower_integrates_its_restricted_bound():
+    # x in [0.3,0.302] takes the else branch, whose let of a sample does not
+    # lower in x: its outer integral runs over the window's piece only
+    m = interpret(parse_term(
+        "let x = sample in ifz chi[[0.3,0.302]](x) then 5"
+        " else (let z = sample in ifz chi[[0,0.5]](z) then x else x + 1)"
+    ))
+    assert abs(m.mass(parse_interval_set("(-inf,0.302]")) - 0.001) < 1e-15
+    assert abs(m.mass(parse_interval_set("(-inf,0.301]")) - 0.0005) < 1e-15
+    assert abs(m.mass(IntervalSet.point(5.0)) - 0.998) < 1e-15
+
+
+def test_guard_shaped_arrow_recursion_settles():
+    # each branch is free of x, so each iterate is a finite list of atoms
+    m = interpret(parse_term(
+        "(fix (fun f : (real -> real) -> fun n : real ->"
+        " let x = sample in ifz x <= 0.5 then n else f (n + 1))) 0"
+    ))
+    for k in range(4):
+        assert abs(m.mass(IntervalSet.point(float(k))) - 0.5 ** (k + 1)) < 1e-6
+
+
+def test_guard_shaped_branching_recursion_settles():
+    # least solution of m = 0.3 + 0.7 m^2 is 3/7; the chain stops on a step
+    # below MASS_TOL while a tail of ratio 1.4 m = 0.6 is left, 1.5 steps
+    m = interpret(parse_term("fix (fun y : real -> let x = sample in ifz x <= 0.7 then 0 else y + y)"))
+    assert abs(m.total_mass() - 3.0 / 7.0) < 2 * ppcf.denotation.MASS_TOL
 
 
 @pytest.mark.parametrize("tail", [
@@ -610,10 +698,6 @@ def test_narrow_step_in_a_primitive_outer_input():
     assert abs(got - 0.099) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: the let-integral's mass integrand is 1 only on [0.3,0.302], "
-    "narrower than the 1/128 between MASS_REFINE's samples, so it is summed as a "
-    "plateau of 0"))
 def test_thin_sliver_of_an_observe_window():
     # the observed sample is uniform on [0.3,0.8]: (0.302 - 0.3) / 0.5
     got = _mass("#observe([0.3,0.8]) sample", parse_interval_set("(-inf,0.302]"))

@@ -167,7 +167,7 @@ _GOLDEN_MASSES = [
     ("let x = sample in let y = sample in x * y", _GRID,
      ("0x0.0p+0", "0x1.b17217f7d1d60p-1", "0x1.0000000000000p+0")),
     ("#observe([0.2,0.9]) sample", _GRID,
-     ("0x0.0p+0", "0x1.b6db6db6db6dcp-2", "0x1.0000000000000p+0")),
+     ("0x0.0p+0", "0x1.b6db6db6db6dbp-2", "0x1.0000000000000p+0")),
     ("#expectation(2) (fun x : real -> x) sample", _GRID,
      ("0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0")),
     ("fix (fun y : real -> ifz #bernoulli 0.5 then 1 else y + 0)", ("{1}",),

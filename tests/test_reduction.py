@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ppcf.intervals import IntervalSet, parse_interval_set
 from ppcf.parser import parse_term
-from ppcf import reduction
+from ppcf import ir, reduction
 from ppcf.primitives import DEFAULT_TABLE, Primitive, chi_name
 from ppcf.reduction import (
     Exhausted,
@@ -492,6 +492,19 @@ def test_a_rejection_loop_is_recorded_then_replayed():
     counts = _mechanism("#observe([0.2,0.25]) sample", 2_000)
     assert 1 <= counts["compiles"] <= 3
     assert counts["recordings"] == counts["compiles"] and counts["runs"] == 0
+
+
+def test_same_shaped_trees_compile_one_source():
+    # two windows of one prior record trees that differ only in the chi
+    # their namespaces hold, so the second call compiles no new source
+    ir._compiled.cache_clear()
+    collect_outcomes(parse_term("#observe([0.2,0.9]) sample"), 200, 10_000, 1)
+    first = ir._compiled.cache_info()
+    t = parse_term("#observe([0.3,0.8]) sample")
+    got = collect_outcomes(t, 200, 10_000, 1)
+    second = ir._compiled.cache_info()
+    assert first.misses >= 1 and second.misses == first.misses and second.hits > first.hits
+    assert all(map(_same, got, [run(t, 10_000, RngStream.for_run(1, i)) for i in range(200)]))
 
 
 @pytest.mark.parametrize("src", [COUNTER, GROWING])
